@@ -61,6 +61,14 @@ class GroupOps:
             return self.materialize(delta)
         return self.materialize(self.add(state, delta))
 
+    def small(self, x):
+        """Mark ``x`` as the change side of a bilinear term (Theorem 3.4).
+
+        Incremental join nodes call this on the small argument of each
+        term; a backend may use it to choose the physical join.
+        """
+        return x
+
     def h(self, i, d):
         """Proposition 4.7's ``H(i, d)`` — used by incremental distinct."""
         raise NotImplementedError  # pragma: no cover - interface
@@ -117,13 +125,7 @@ class SparkZSetOps(GroupOps):
         """O(|delta|) state update: checkpoint the delta, append lazily."""
         if delta.known_empty:
             return delta.zero_like() if state is None else state
-        if delta.checkpointed:
-            d = delta  # already consolidated + checkpointed: reuse as-is
-        else:
-            d = ZSet(
-                delta.consolidate().df.localCheckpoint(eager=True),
-                checkpointed=True,
-            )
+        d = delta.materialize()
         if state is None:
             return d
         merged = ZSet(state.df.unionByName(d.df), segments=state.segments + 1)
@@ -149,6 +151,14 @@ class SparkZSetOps(GroupOps):
     def materialize(self, a: ZSet) -> ZSet:
         return a.materialize()
 
+    def small(self, x: ZSet) -> ZSet:
+        """Broadcast the change side: ``Δ ⋈ integral`` then probes the
+        O(R) state with one scan instead of shuffling it — the physical
+        form of the paper's O(C[t]) per-step claim."""
+        from pyspark.sql import functions as F
+
+        return ZSet(F.broadcast(x.df))
+
     def h(self, i: ZSet, d: ZSet) -> ZSet:
         """``H(i, d)`` computed with one probe join against the integral.
 
@@ -162,11 +172,7 @@ class SparkZSetOps(GroupOps):
 
         from repro.zset.frame import W
 
-        if d.checkpointed:
-            dd = d.df.withColumnRenamed(W, "__wd")  # already small + cached
-        else:
-            dd = d.consolidate().df.withColumnRenamed(W, "__wd")
-            dd = dd.localCheckpoint(eager=True)  # reused twice below
+        dd = d.materialize().df.withColumnRenamed(W, "__wd")  # reused twice below
         cols = d.data_cols
         keys = F.broadcast(dd.select(*cols))
         restricted = i.df.join(keys, on=cols, how="leftsemi")

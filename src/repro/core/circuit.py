@@ -7,7 +7,6 @@ Nodes hold exactly the state the paper's operators need:
 * :class:`Delay` (z⁻¹)            — the previous input;
 * :class:`Integrate` (I)          — the running sum (the only O(R) state);
 * :class:`Differentiate` (D)      — the previous input;
-* :class:`LiftNode` (↑f)          — stateless;
 * :class:`IncrementalJoin`        — Theorem 3.4's three-term bilinear form,
   with the two delayed integrals as state;
 * :class:`IncrementalDistinct`    — Proposition 4.7: ``out = H(z⁻¹I(d), d)``;
@@ -93,16 +92,6 @@ class Differentiate(Node):
         return self.ops.consolidate(out)
 
 
-class LiftNode(Node):
-    """``↑f`` — apply a scalar Z-set function pointwise in time. Stateless."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def step(self, *inputs):
-        return self.fn(*inputs)
-
-
 class IncrementalJoin(Node):
     """``(↑⋈)^Δ`` — Theorem 3.4 for a bilinear operator.
 
@@ -113,31 +102,19 @@ class IncrementalJoin(Node):
     in O(C)); per-step work is proportional to the change sizes — every
     term has a Δ input. ``join_fn(a, b)`` is the bilinear payload (any of
     :func:`repro.zset.ops.join_z` / ``cartesian_z`` / ``intersect_z`` or a
-    reference-backend closure). A payload that additionally accepts a
-    ``small=`` keyword ('left'/'right'/'both') is told which argument is
-    the change so it can hint the physical plan (broadcast the Δ side).
+    reference-backend closure). The node passes each term's change side
+    through ``ops.small``, so the backend can plan the join around it.
     """
 
     def __init__(self, ops: GroupOps, join_fn: Callable):
-        import inspect
-
         self.ops = ops
         self.join_fn = join_fn
-        try:
-            self._hinted = "small" in inspect.signature(join_fn).parameters
-        except (TypeError, ValueError):  # builtins, partials without sig
-            self._hinted = False
         self._ia = None  # z⁻¹(I(a)): integral of a, *excluding* current Δa
         self._ib = None
 
     def reset(self) -> None:
         self._ia = None
         self._ib = None
-
-    def _join(self, a, b, small: str):
-        if self._hinted:
-            return self.join_fn(a, b, small=small)
-        return self.join_fn(a, b)
 
     def state_sizes(self) -> tuple[int, int]:
         """Support sizes of the two stored integrals (space metric)."""
@@ -148,16 +125,17 @@ class IncrementalJoin(Node):
     def step(self, da, db):
         # evaluate each incoming change once; all three bilinear terms and
         # the state updates reuse the cached results
-        da = self.ops.materialize(da)
-        db = self.ops.materialize(db)
-        out = self._join(da, db, "both")
+        ops = self.ops
+        da = ops.materialize(da)
+        db = ops.materialize(db)
+        out = self.join_fn(da, ops.small(db))
         if self._ia is not None:
-            out = self.ops.add(out, self._join(self._ia, db, "right"))
+            out = ops.add(out, self.join_fn(self._ia, ops.small(db)))
         if self._ib is not None:
-            out = self.ops.add(out, self._join(da, self._ib, "left"))
-        self._ia = self.ops.accumulate(self._ia, da)
-        self._ib = self.ops.accumulate(self._ib, db)
-        return self.ops.consolidate(out)
+            out = ops.add(out, self.join_fn(ops.small(da), self._ib))
+        self._ia = ops.accumulate(self._ia, da)
+        self._ib = ops.accumulate(self._ib, db)
+        return ops.consolidate(out)
 
 
 class IncrementalDistinct(Node):

@@ -109,14 +109,8 @@ class NestedIncrementalJoin:
     """
 
     def __init__(self, ops: GroupOps, join_fn: Callable):
-        import inspect
-
         self.ops = ops
         self.join_fn = join_fn
-        try:
-            self._hinted = "small" in inspect.signature(join_fn).parameters
-        except (TypeError, ValueError):
-            self._hinted = False
         self.b1 = _TailList(ops, "zero")
         self.a1 = _TailList(ops, "zero")
         self.a12 = _TailList(ops, "last")
@@ -127,11 +121,6 @@ class NestedIncrementalJoin:
         self.a1 = _TailList(self.ops, "zero")
         self.a12 = _TailList(self.ops, "last")
         self._in_step = False
-
-    def _join(self, a, b, small: str):
-        if self._hinted:
-            return self.join_fn(a, b, small=small)
-        return self.join_fn(a, b)
 
     def max_depth(self) -> int:
         return max(len(self.b1), len(self.a1), len(self.a12))
@@ -159,10 +148,11 @@ class NestedIncrementalJoin:
         b1_i = self.b1.get(self._i, zero_b)  # I₁b at (t, i)
         self._iib = b1_i if self._iib is None else ops.add(self._iib, b1_i)
 
-        out = self._join(a_i, self._iib, "left")                 # a ⋈ I₁I₂b
-        out = ops.add(out, self._join(theta2_a, b1_i, "both"))   # θ₂a ⋈ I₁b
-        out = ops.add(out, self._join(self.a12.get(self._i, zero_a), b_i, "right"))
-        out = ops.add(out, self._join(self.a1.get(self._i, zero_a), theta2_b, "both"))
+        join, small = self.join_fn, ops.small
+        out = join(small(a_i), self._iib)                                    # a ⋈ I₁I₂b
+        out = ops.add(out, join(theta2_a, small(b1_i)))                      # θ₂a ⋈ I₁b
+        out = ops.add(out, join(self.a12.get(self._i, zero_a), small(b_i)))  # θ₁I₂a ⋈ b
+        out = ops.add(out, join(self.a1.get(self._i, zero_a), small(theta2_b)))  # θ₁a ⋈ θ₂b
 
         self._i2a = ops.accumulate(self._i2a, a_i)
         self._i2b = b_i if self._i2b is None else ops.add(self._i2b, b_i)

@@ -29,17 +29,14 @@ def incremental_join_node(
 
     ``project`` (output col -> SQL expr over the joined columns) is fused
     into the bilinear payload — projection is linear, so fusing it keeps
-    the node a single bilinear operator. The payload accepts the node's
-    ``small=`` hint and broadcasts the change side of Δ ⋈ integral terms.
+    the node a single bilinear operator.
     """
-    sops = SparkZSetOps()
 
-    def payload(a: ZSet, b: ZSet, small: str = "both") -> ZSet:
-        bcast = {"left": "left", "right": "right", "both": "right"}[small]
-        j = ops.join_z(a, b, on=on, suffix=suffix, broadcast=bcast)
+    def payload(a: ZSet, b: ZSet) -> ZSet:
+        j = ops.join_z(a, b, on=on, suffix=suffix)
         return ops.map_z(j, project) if project else j
 
-    return IncrementalJoin(sops, payload)
+    return IncrementalJoin(SparkZSetOps(), payload)
 
 
 class IncrementalGroupAggregate(Node):

@@ -33,15 +33,9 @@ def tc_base_fn(e: ZSet) -> ZSet:
     return zops.map_z(e, {"s": "h", "t": "t"})
 
 
-def tc_join_fn(e: ZSet, r: ZSet, small: str | None = None) -> ZSet:
-    """R(x,y) :- E(x,z), R(z,y): join on E.t = R.s, project (E.h, R.t).
-
-    ``small`` is the incremental nodes' hint naming the change side; it is
-    broadcast so Δ ⋈ integral terms probe rather than shuffle the state.
-    Unhinted calls (naïve evaluation) use the ordinary shuffle join.
-    """
-    bcast = {"left": "left", "right": "right", "both": "right", None: None}[small]
-    j = zops.join_z(e, r, on=[("t", "s")], broadcast=bcast)
+def tc_join_fn(e: ZSet, r: ZSet) -> ZSet:
+    """R(x,y) :- E(x,z), R(z,y): join on E.t = R.s, project (E.h, R.t)."""
+    j = zops.join_z(e, r, on=[("t", "s")])
     return zops.map_z(j, {"s": "h", "t": "t_r"})
 
 

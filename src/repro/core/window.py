@@ -65,7 +65,6 @@ class TimeRangeWindow(Node):
     def __init__(self, ts_col: str, width: float):
         self.ts_col = ts_col
         self.width = width
-        self.sops = SparkZSetOps()
         self._window: ZSet | None = None  # current window contents
         self._theta: float | None = None
 

@@ -1,19 +1,25 @@
 """Executing relational ASTs: lifted full recomputation vs Algorithm 4.8.
 
-:func:`evaluate` runs an AST non-incrementally over full Z-set snapshots
-(the lifted circuit of Algorithm 4.8 step 3 — what a view recomputation
-does every transaction).
+Both executors come from one compile step, :func:`_build`, which walks the
+AST once and returns a function of the input Z-sets. Linear nodes compile
+to themselves; the caller supplies what ``Join``/``Cartesian`` and
+``Distinct`` become:
 
-:class:`IncrementalView` is Algorithm 4.8 steps (4)–(5): each AST node is
-replaced by its incremental version — linear nodes by themselves
-(Theorem 3.3), ``Join``/``Cartesian`` by :class:`IncrementalJoin`
-(Theorem 3.4), ``Distinct`` by :class:`IncrementalDistinct`
-(Proposition 4.7) — then chained (the chain rule of Proposition 3.2).
-``step`` consumes per-input change Z-sets and emits the view's change.
+* :func:`evaluate` runs the AST non-incrementally over full Z-set
+  snapshots (the lifted circuit of Algorithm 4.8 step 3 — what a view
+  recomputation does every transaction): the plain bilinear payload and
+  ``distinct``.
+* :class:`IncrementalView` is Algorithm 4.8 steps (4)–(5): each AST node is
+  replaced by its incremental version — linear nodes by themselves
+  (Theorem 3.3), ``Join``/``Cartesian`` by :class:`IncrementalJoin`
+  (Theorem 3.4), ``Distinct`` by :class:`IncrementalDistinct`
+  (Proposition 4.7) — then chained (the chain rule of Proposition 3.2).
+  ``step`` consumes per-input change Z-sets and emits the view's change.
 """
 from __future__ import annotations
 
-from typing import Mapping
+import functools
+from typing import Callable, Mapping
 
 from repro.core.backend import SparkZSetOps
 from repro.core.circuit import IncrementalDistinct, IncrementalJoin
@@ -22,33 +28,57 @@ from repro.zset.frame import ZSet
 
 from . import translate as t
 
+def _build(
+    node: t.Node, bilinear: Callable, distinct: Callable
+) -> Callable[[Mapping[str, ZSet]], ZSet]:
+    """Compile ``node`` to a function of the input Z-sets.
+
+    ``bilinear(node, payload)`` returns the operator applied at a
+    ``Join``/``Cartesian`` node, given its plain ``(a, b) -> ZSet``
+    payload; ``distinct(node)`` returns the operator applied at a
+    ``Distinct`` node.
+    """
+    if isinstance(node, t.Rel):
+        def rel(inputs):
+            if node.name not in inputs:
+                raise KeyError(
+                    f"input '{node.name}' missing — pass an explicit empty "
+                    "ZSet for unchanged inputs"
+                )
+            return inputs[node.name]
+
+        return rel
+    if isinstance(node, (t.Join, t.Cartesian, t.UnionAll)):
+        left = _build(node.left, bilinear, distinct)
+        right = _build(node.right, bilinear, distinct)
+        if isinstance(node, t.UnionAll):  # linear
+            return lambda inputs: left(inputs).add(right(inputs))
+        if isinstance(node, t.Join):
+            payload = functools.partial(
+                zops.join_z, on=list(node.on), suffix=node.suffix
+            )
+        else:
+            payload = zops.cartesian_z
+        op = bilinear(node, payload)
+        return lambda inputs: op(left(inputs), right(inputs))
+    if not isinstance(node, (t.Select, t.Project, t.Negate, t.Distinct)):
+        raise TypeError(f"unknown node {type(node)}")
+    child = _build(node.child, bilinear, distinct)
+    if isinstance(node, t.Select):  # linear: its own incremental
+        return lambda inputs: zops.filter_z(child(inputs), node.predicate)
+    if isinstance(node, t.Project):  # linear
+        exprs = dict(node.exprs)
+        return lambda inputs: zops.map_z(child(inputs), exprs)
+    if isinstance(node, t.Negate):  # linear
+        return lambda inputs: child(inputs).neg()
+    op = distinct(node)  # Distinct
+    return lambda inputs: op(child(inputs))
+
 
 def evaluate(node: t.Node, inputs: Mapping[str, ZSet]) -> ZSet:
     """Run the (non-incremental) Z-set circuit over full snapshots."""
-    if isinstance(node, t.Rel):
-        return inputs[node.name]
-    if isinstance(node, t.Select):
-        return zops.filter_z(evaluate(node.child, inputs), node.predicate)
-    if isinstance(node, t.Project):
-        return zops.map_z(evaluate(node.child, inputs), dict(node.exprs))
-    if isinstance(node, t.Join):
-        return zops.join_z(
-            evaluate(node.left, inputs),
-            evaluate(node.right, inputs),
-            on=list(node.on),
-            suffix=node.suffix,
-        )
-    if isinstance(node, t.Cartesian):
-        return zops.cartesian_z(
-            evaluate(node.left, inputs), evaluate(node.right, inputs)
-        )
-    if isinstance(node, t.UnionAll):
-        return evaluate(node.left, inputs).add(evaluate(node.right, inputs))
-    if isinstance(node, t.Negate):
-        return evaluate(node.child, inputs).neg()
-    if isinstance(node, t.Distinct):
-        return evaluate(node.child, inputs).distinct()
-    raise TypeError(f"unknown node {type(node)}")
+    circuit = _build(node, lambda _n, payload: payload, lambda _n: ZSet.distinct)
+    return circuit(inputs)
 
 
 class IncrementalView:
@@ -56,50 +86,29 @@ class IncrementalView:
 
     Built from a (distinct-consolidated) AST; holds one stateful node per
     non-linear AST operator. ``step(changes)`` takes a dict of input-name
-    -> change Z-set and returns the change to the view. Missing inputs
-    default to the zero change (their schema must have been seen at least
-    once or be supplied — pass explicit empty Z-sets on the first step).
+    -> change Z-set and returns the change to the view. Every input needs
+    an entry at every step: an unchanged input takes an explicit empty
+    Z-set, and a missing one raises ``KeyError``.
     """
 
     def __init__(self, ast: t.Node):
         self.ast = t.consolidate_distincts(ast)
-        self.sops = SparkZSetOps()
+        ops = SparkZSetOps()
         # one stateful operator per AST occurrence, keyed by object id
         self._joins: dict[int, IncrementalJoin] = {}
         self._distincts: dict[int, IncrementalDistinct] = {}
-        self._instantiate(self.ast)
 
-    def _instantiate(self, node: t.Node) -> None:
-        if isinstance(node, t.Rel):
-            return
-        if isinstance(node, (t.Select, t.Project, t.Negate)):
-            self._instantiate(node.child)
-            return
-        if isinstance(node, t.Distinct):
-            self._distincts[id(node)] = IncrementalDistinct(self.sops)
-            self._instantiate(node.child)
-            return
-        if isinstance(node, t.Join):
-            def payload(a, b, small="both", n=node):
-                bcast = {"left": "left", "right": "right", "both": "right"}[small]
-                return zops.join_z(
-                    a, b, on=list(n.on), suffix=n.suffix, broadcast=bcast
-                )
+        # the closures look ``step`` up at call time, so a wrapper
+        # installed on the class later still sees every call
+        def bilinear(node, payload):  # Theorem 3.4
+            j = self._joins[id(node)] = IncrementalJoin(ops, payload)
+            return lambda a, b: j.step(a, b)
 
-            self._joins[id(node)] = IncrementalJoin(self.sops, payload)
-            self._instantiate(node.left)
-            self._instantiate(node.right)
-            return
-        if isinstance(node, t.Cartesian):
-            self._joins[id(node)] = IncrementalJoin(self.sops, zops.cartesian_z)
-            self._instantiate(node.left)
-            self._instantiate(node.right)
-            return
-        if isinstance(node, t.UnionAll):
-            self._instantiate(node.left)
-            self._instantiate(node.right)
-            return
-        raise TypeError(f"unknown node {type(node)}")
+        def distinct(node):  # Proposition 4.7
+            d = self._distincts[id(node)] = IncrementalDistinct(ops)
+            return lambda x: d.step(x)
+
+        self._circuit = _build(self.ast, bilinear, distinct)
 
     def reset(self) -> None:
         for j in self._joins.values():
@@ -119,28 +128,4 @@ class IncrementalView:
 
     def step(self, changes: Mapping[str, ZSet]) -> ZSet:
         """Advance one transaction: input changes in, view change out."""
-        return self._step(self.ast, changes).consolidate()
-
-    def _step(self, node: t.Node, ch: Mapping[str, ZSet]) -> ZSet:
-        if isinstance(node, t.Rel):
-            if node.name not in ch:
-                raise KeyError(
-                    f"change for input '{node.name}' missing — pass an "
-                    "explicit empty ZSet for unchanged inputs"
-                )
-            return ch[node.name]
-        if isinstance(node, t.Select):  # linear: its own incremental
-            return zops.filter_z(self._step(node.child, ch), node.predicate)
-        if isinstance(node, t.Project):  # linear
-            return zops.map_z(self._step(node.child, ch), dict(node.exprs))
-        if isinstance(node, t.Negate):  # linear
-            return self._step(node.child, ch).neg()
-        if isinstance(node, t.UnionAll):  # linear
-            return self._step(node.left, ch).add(self._step(node.right, ch))
-        if isinstance(node, (t.Join, t.Cartesian)):  # Theorem 3.4
-            return self._joins[id(node)].step(
-                self._step(node.left, ch), self._step(node.right, ch)
-            )
-        if isinstance(node, t.Distinct):  # Proposition 4.7
-            return self._distincts[id(node)].step(self._step(node.child, ch))
-        raise TypeError(f"unknown node {type(node)}")
+        return self._circuit(changes).consolidate()

@@ -13,7 +13,7 @@ one ``distinct`` at the end of each chain — the rewrite shown in §4.4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 

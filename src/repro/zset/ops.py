@@ -3,7 +3,7 @@
 Every SQL (set) operator is implemented as a Z-set operator executed by
 Catalyst. Linearity notes (they drive incrementalization in §3):
 
-* ``filter_z`` (σ), ``map_z`` (π / selection), ``rename``, ``union-all``
+* ``filter_z`` (σ), ``map_z`` (π / selection), ``union-all``
   (group ``+``), ``flatmap_z`` — **linear**: weights pass through rows.
 * ``join_z``, ``cartesian_z``, ``intersect_z`` — **bilinear**: the output
   weight is the product of the input weights.
@@ -39,20 +39,11 @@ def map_z(z: ZSet, exprs: Mapping[str, str]) -> ZSet:
     return ZSet(z.df.select(*sel))
 
 
-def rename(z: ZSet, mapping: Mapping[str, str]) -> ZSet:
-    """Rename data columns (a special case of ``map_z``; linear)."""
-    df = z.df
-    for old, new in mapping.items():
-        df = df.withColumnRenamed(old, new)
-    return ZSet(df)
-
-
 def join_z(
     z_left: ZSet,
     z_right: ZSet,
     on: Sequence[tuple[str, str]] | Sequence[str],
     suffix: str = "_r",
-    broadcast: str | None = None,
 ) -> ZSet:
     """⋈ — equijoin; output weight = product of input weights (bilinear).
 
@@ -60,11 +51,6 @@ def join_z(
     ``(left_col, right_col)`` pairs. Right-side data columns whose names
     collide with left-side ones are suffixed with ``suffix`` in the output
     (including right join keys when both sides use the same name).
-
-    ``broadcast`` ∈ {None, 'left', 'right'} hints the physical plan: the
-    incremental operators pass the *change* side here so a Δ ⋈ integral
-    term probes the O(R) state with one scan instead of shuffling it —
-    the physical realization of the paper's O(C[t]) per-step claim.
     """
     pairs = [(c, c) if isinstance(c, str) else tuple(c) for c in on]
 
@@ -77,10 +63,6 @@ def join_z(
             renames[c] = c + suffix
     for old, new in renames.items():
         rdf = rdf.withColumnRenamed(old, new)
-    if broadcast == "left":
-        ldf = F.broadcast(ldf)
-    elif broadcast == "right":
-        rdf = F.broadcast(rdf)
 
     cond = None
     for lc, rc in pairs:

@@ -12,7 +12,7 @@ non-zero integer weights (absent row == weight 0).
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 RZ = dict  # type alias: RZ = dict[tuple, int]
 
@@ -172,11 +172,3 @@ def rmin(a: RZ, idx: int = 0):
     """MIN over the support of a positive Z-set — non-linear."""
     vals = [row[idx] for row, w in a.items() if w > 0]
     return min(vals) if vals else None
-
-
-def from_pairs(pairs: Iterable[tuple]) -> RZ:
-    """Weight-1 Z-set from an iterable of row tuples (a set/bag literal)."""
-    out: RZ = {}
-    for row in pairs:
-        out[row] = out.get(row, 0) + 1
-    return out
