@@ -66,11 +66,6 @@ class Integrate(Node):
     def reset(self) -> None:
         self._acc = None
 
-    @property
-    def state(self):
-        """The current integral (None means zero)."""
-        return self._acc
-
     def step(self, x):
         self._acc = self.ops.accumulate(self._acc, x)
         return self._acc
@@ -184,12 +179,6 @@ class BruteIncremental(Node):
         for i in self._integrators:
             i.reset()
         self._diff.reset()
-
-    def integral_sizes(self) -> list[int]:
-        return [
-            0 if i.state is None else self.ops.support_count(i.state)
-            for i in self._integrators
-        ]
 
     def step(self, *inputs):
         fulls = [i.step(x) for i, x in zip(self._integrators, inputs)]

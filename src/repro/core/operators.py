@@ -45,7 +45,7 @@ class IncrementalGroupAggregate(Node):
     State: the integral of the input relation (O(R) space, like any
     aggregation that must handle deletions). Per step:
 
-    1. the changed keys are ``distinct(π_keys(d))`` — O(|d|);
+    1. the changed keys are ``π_keys(d)`` — O(|d|);
     2. old output rows = aggregate over the integral restricted (semijoin)
        to the changed keys;
     3. new output rows = same over integral + d;
@@ -62,33 +62,28 @@ class IncrementalGroupAggregate(Node):
     ):
         self.keys = list(keys)
         self.aggs = list(aggs)
-        self.sops = SparkZSetOps()
+        self.ops = SparkZSetOps()
         self._i: ZSet | None = None  # integral of the input, pre-change
 
     def reset(self) -> None:
         self._i = None
 
-    def state_size(self) -> int:
-        return 0 if self._i is None else self._i.support_count()
-
-    def _restrict(self, z: ZSet, keys_df) -> ZSet:
-        from pyspark.sql import functions as F
-
-        return ZSet(z.df.join(F.broadcast(keys_df), on=self.keys, how="leftsemi"))
-
     def step(self, d: ZSet) -> ZSet:
         d = d.materialize()
-        keys_df = d.df.select(*self.keys).distinct().localCheckpoint(eager=True)
         if self._i is None:
             old_out = None
             new_out = aggregates.group_agg(d, self.keys, self.aggs)
         else:
-            # one scan of the O(R) state extracts the changed groups; both
-            # the old and the new aggregates then work on that small slice
-            touched = self._restrict(self._i, keys_df).materialize()
+            # one scan of the O(R) state, probed with the change's keys,
+            # extracts the changed groups; both the old and the new
+            # aggregates then work on that small slice
+            keys = self.ops.small(d).df.select(*self.keys)
+            touched = ZSet(self._i.df.join(keys, on=self.keys, how="leftsemi"))
+            touched = touched.materialize()
             old_out = aggregates.group_agg(touched, self.keys, self.aggs)
             new_out = aggregates.group_agg(touched.add(d), self.keys, self.aggs)
         out = new_out if old_out is None else new_out.sub(old_out)
-        out = out.materialize()  # force before the state advances
-        self._i = self.sops.accumulate(self._i, d)
-        return out
+        # ``out`` reads only the checkpointed ``d`` and ``touched``, so it
+        # may stay lazy while the state advances
+        self._i = self.ops.accumulate(self._i, d)
+        return out.consolidate()

@@ -133,21 +133,11 @@ def semi_naive_fixpoint(
     raise RuntimeError(f"semi_naive_fixpoint did not converge in {max_iter} iterations")
 
 
-def while_loop(
-    ops: GroupOps,
-    q: Callable,
-    start,
-    max_iter: int = 10_000,
-) -> object:
+def while_loop(ops: GroupOps, q: Callable, start, max_iter: int = 10_000) -> object:
     """§7.7's while-relational program: ``x := i; while x changes: x := Q(x)``.
 
-    Returns the least fixpoint of ``Q`` above ``start`` if iteration
-    terminates (the paper gives no termination guarantee either).
+    That is :func:`naive_fixpoint` seeded with ``start``; it returns the
+    least fixpoint of ``Q`` above ``start`` if iteration terminates (the
+    paper gives no termination guarantee either).
     """
-    x = ops.materialize(start)
-    for _ in range(max_iter):
-        nxt = ops.materialize(q(x))
-        if ops.equals(nxt, x):
-            return x
-        x = nxt
-    raise RuntimeError(f"while_loop did not converge in {max_iter} iterations")
+    return naive_fixpoint(ops, q, ops.materialize(start), max_iter)[0]

@@ -23,7 +23,7 @@ from pyspark.sql import functions as F
 
 from repro.zset.frame import ZSet
 
-from .backend import GroupOps, SparkZSetOps
+from .backend import GroupOps
 from .circuit import Delay, Integrate, Node
 
 
@@ -103,16 +103,19 @@ class RelationToStreamJoin(Node):
 
     ``s`` carries changes to a relation (integrated into state); ``t``
     carries transient data points, matched against the *accumulated*
-    relation and then discarded.
+    relation and then discarded. ``join_fn(rel, points)`` is the bilinear
+    payload; the points pass through ``ops.small``, so the O(R) relation
+    state is probed, not shuffled.
     """
 
-    def __init__(self, join_fn: Callable):
+    def __init__(self, ops: GroupOps, join_fn: Callable):
+        self.ops = ops
         self.join_fn = join_fn
-        self._integrate = Integrate(SparkZSetOps())
+        self._integrate = Integrate(ops)
 
     def reset(self) -> None:
         self._integrate.reset()
 
-    def step(self, rel_delta: ZSet, points: ZSet) -> ZSet:
+    def step(self, rel_delta, points):
         rel = self._integrate.step(rel_delta)
-        return self.join_fn(rel, points).consolidate()
+        return self.ops.consolidate(self.join_fn(rel, self.ops.small(points)))

@@ -13,7 +13,7 @@ one ``distinct`` at the end of each chain — the rewrite shown in §4.4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 
@@ -150,6 +150,15 @@ def t_intersect(left: Node, right: Node, cols: Sequence[str]) -> Node:
 _TRANSPARENT = (Select, Project, Join, Cartesian, UnionAll)
 
 
+def _children(node: Node) -> dict[str, Node]:
+    """The node's inputs, keyed by dataclass field name (none for ``Rel``)."""
+    return {
+        f.name: getattr(node, f.name)
+        for f in fields(node)
+        if isinstance(getattr(node, f.name), Node)
+    }
+
+
 def is_positive(node: Node) -> bool:
     """Static positivity: does this subtree always yield a positive Z-set?
 
@@ -160,11 +169,9 @@ def is_positive(node: Node) -> bool:
         return True
     if isinstance(node, Negate):
         return False
-    if isinstance(node, (Select, Project)):
-        return is_positive(node.child)
-    if isinstance(node, (Join, Cartesian, UnionAll)):
-        return is_positive(node.left) and is_positive(node.right)
-    raise TypeError(f"unknown node {type(node)}")
+    if not isinstance(node, _TRANSPARENT):
+        raise TypeError(f"unknown node {type(node)}")
+    return all(is_positive(c) for c in _children(node).values())
 
 
 def consolidate_distincts(node: Node) -> Node:
@@ -181,42 +188,24 @@ def consolidate_distincts(node: Node) -> Node:
     """
 
     def walk(n: Node, protected: bool) -> Node:
-        if isinstance(n, Rel):
-            return n
+        kids = _children(n)
         if isinstance(n, Distinct):
             if protected and is_positive(n.child):
                 return walk(n.child, True)
-            return Distinct(walk(n.child, True))
-        if isinstance(n, Select):
-            return Select(walk(n.child, protected), n.predicate)
-        if isinstance(n, Project):
-            return Project(walk(n.child, protected), n.exprs)
-        if isinstance(n, (Join, Cartesian, UnionAll)):
-            # protection crosses a multi-input node only if ALL inputs are
-            # positive (Prop 4.6's ispositive premise applies to each).
-            ok = protected and is_positive(n.left) and is_positive(n.right)
-            l, r = walk(n.left, ok), walk(n.right, ok)
-            if isinstance(n, Join):
-                return Join(l, r, n.on, n.suffix)
-            if isinstance(n, Cartesian):
-                return Cartesian(l, r)
-            return UnionAll(l, r)
-        if isinstance(n, Negate):
+            protected = True
+        elif isinstance(n, Negate):
             # Negation is outside Prop 4.6's operator list: protection stops.
-            return Negate(walk(n.child, False))
-        raise TypeError(f"unknown node {type(n)}")
+            protected = False
+        else:
+            # protection crosses a node only if ALL its inputs are positive
+            # (Prop 4.6's ispositive premise applies to each).
+            protected = protected and all(is_positive(c) for c in kids.values())
+        return replace(n, **{k: walk(c, protected) for k, c in kids.items()})
 
     return walk(node, False)
 
 
 def count_distincts(node: Node) -> int:
     """Number of Distinct nodes (used to assert the §4.4 consolidation)."""
-    if isinstance(n := node, Rel):
-        return 0
-    if isinstance(n, Distinct):
-        return 1 + count_distincts(n.child)
-    if isinstance(n, (Select, Project, Negate)):
-        return count_distincts(n.child)
-    if isinstance(n, (Join, Cartesian, UnionAll)):
-        return count_distincts(n.left) + count_distincts(n.right)
-    raise TypeError(f"unknown node {type(n)}")
+    below = sum(count_distincts(c) for c in _children(node).values())
+    return isinstance(node, Distinct) + below

@@ -1,8 +1,8 @@
 """Synthetic OLAP data at a configurable scale factor.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01.
+Generators are deterministic in ``seed`` so the DuckDB oracle sees
+identical input.
 """
 import numpy as np
 import pandas as pd
@@ -59,16 +59,6 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
         }
     )
     return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
 
 
 # --------------------------------------------------------------------- #
@@ -155,49 +145,3 @@ def edge_change_stream(
         live.extend(ins)
         deltas.append(delta)
     return initial, deltas
-
-
-def table_change_stream(
-    pdf: pd.DataFrame,
-    *,
-    n_steps: int,
-    initial_frac: float = 0.5,
-    delete_frac: float = 0.1,
-    seed: int = 10,
-) -> tuple[pd.DataFrame, list[tuple[pd.DataFrame, pd.DataFrame]]]:
-    """Split a table into an initial snapshot and a stream of changes.
-
-    Returns ``(initial, [(inserted, deleted), ...])``: the remaining rows
-    are spread uniformly over ``n_steps`` as insertions; each step also
-    deletes ``delete_frac`` of its insertion volume, sampled from rows
-    already live. Deterministic in ``seed``. Rows are unique by position
-    (TPC-H-lite rows are effectively unique), keeping set semantics.
-    """
-    g = _rng(seed)
-    n = len(pdf)
-    order = g.permutation(n)
-    n_init = int(n * initial_frac)
-    initial_idx = order[:n_init]
-    rest = order[n_init:]
-    per_step = len(rest) // n_steps
-    initial = pdf.iloc[initial_idx].reset_index(drop=True)
-    live = list(initial_idx)
-    steps: list[tuple[pd.DataFrame, pd.DataFrame]] = []
-    for s in range(n_steps):
-        ins_idx = rest[s * per_step: (s + 1) * per_step]
-        n_del = int(len(ins_idx) * delete_frac)
-        if n_del and live:
-            del_pos = g.choice(len(live), size=min(n_del, len(live)), replace=False)
-            del_idx = [live[i] for i in del_pos]
-            doomed = set(del_pos)
-            live = [v for i, v in enumerate(live) if i not in doomed]
-        else:
-            del_idx = []
-        live.extend(ins_idx)
-        steps.append(
-            (
-                pdf.iloc[ins_idx].reset_index(drop=True),
-                pdf.iloc[del_idx].reset_index(drop=True),
-            )
-        )
-    return initial, steps

@@ -13,6 +13,7 @@ from repro.core.backend import SparkZSetOps
 from repro.core.circuit import IncrementalJoin
 from repro.core.nested import NestedIncrementalJoin
 from repro.core.tc import E_SCHEMA, R_SCHEMA, tc_join_fn
+from repro.core.window import RelationToStreamJoin
 from repro.sql import translate as t
 from repro.sql.compile import IncrementalView
 from repro.zset import ops as zops
@@ -58,6 +59,18 @@ def test_incremental_join_state_carries_no_hint(spark):
         node.step(rows(spark, [(k, k + 1)]), rows(spark, [(k + 1, k)]))
     for state in (node._ia, node._ib):
         assert "ResolvedHint" not in analyzed(state)
+
+
+def test_relation_to_stream_join_broadcasts_points(spark):
+    """The stream-table join probes the integrated relation with the
+    step's points instead of shuffling the O(R) state."""
+    node = RelationToStreamJoin(
+        SparkZSetOps(), lambda rel, pts: zops.join_z(rel, pts, on=[("b", "a")])
+    )
+    for k in range(3):
+        out = node.step(rows(spark, [(k, k + 1)]), rows(spark, [(k + 1, k)]))
+    assert plan_ops(out, "BroadcastHashJoin") == 1
+    assert plan_ops(out, "SortMergeJoin") == 0
 
 
 def test_nested_join_broadcasts_all_four_terms(spark):

@@ -1,4 +1,4 @@
-"""Every experiment job, pytest-benchmark file and perfbench module imports.
+"""Every experiment job and perfbench module imports.
 
 The suite collects only ``tests/``, so a name removed from ``src/`` that
 only these scripts use would otherwise go unnoticed until they run.
@@ -13,10 +13,10 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DIRS = ("jobs", "benchmarks", "perfbench")
+DIRS = ("jobs", "perfbench")
 SCRIPTS = sorted(
     os.path.relpath(p, ROOT)
-    for pattern in ("jobs/t*.py", "benchmarks/bench_*.py", "perfbench/*.py")
+    for pattern in ("jobs/t*.py", "perfbench/*.py")
     for p in glob.glob(os.path.join(ROOT, pattern))
 )
 

@@ -1,7 +1,4 @@
 """Synthetic data generators: determinism and structural invariants."""
-import numpy as np
-import pytest
-
 from repro import synth_data
 
 
@@ -16,12 +13,6 @@ def test_orders_schema(spark):
     df = synth_data.orders(spark, sf=0.0005)
     assert {"o_orderkey", "o_custkey", "o_totalprice"} <= set(df.columns)
     assert df.count() == 750
-
-
-def test_zipf_skew(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]  # heavy head
 
 
 def test_random_digraph_properties():
@@ -60,28 +51,3 @@ def test_edge_change_stream_insert_only():
     assert all(w == 1 for d in deltas for (_, _, w) in d)
     covered = set(initial) | {(h, t) for d in deltas for (h, t, _) in d}
     assert covered == set(edges)
-
-
-def test_table_change_stream_partition(spark):
-    pdf = synth_data.orders(spark, sf=0.0005).toPandas()
-    initial, steps = synth_data.table_change_stream(
-        pdf, n_steps=4, initial_frac=0.5, delete_frac=0.1, seed=7
-    )
-    n_ins = sum(len(i) for i, _ in steps)
-    assert len(initial) == len(pdf) // 2
-    assert n_ins <= len(pdf) - len(initial)
-    # deletions come only from previously live rows
-    live_keys = set(initial["o_orderkey"])
-    for ins, dels in steps:
-        assert set(dels["o_orderkey"]) <= live_keys
-        live_keys -= set(dels["o_orderkey"])
-        live_keys |= set(ins["o_orderkey"])
-
-
-def test_table_change_stream_deterministic(spark):
-    pdf = synth_data.orders(spark, sf=0.0005).toPandas()
-    a_init, a_steps = synth_data.table_change_stream(pdf, n_steps=3, seed=8)
-    b_init, b_steps = synth_data.table_change_stream(pdf, n_steps=3, seed=8)
-    assert a_init.equals(b_init)
-    for (ai, ad), (bi, bd) in zip(a_steps, b_steps):
-        assert ai.equals(bi) and ad.equals(bd)

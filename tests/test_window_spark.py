@@ -8,7 +8,7 @@ from repro.zset import ops as zops
 from repro.zset import ref
 from repro.zset.frame import ZSet
 
-from helpers import make_rng, rand_zset1
+from helpers import make_rng, rand_zset1, rand_zset2, ref_join_ac
 
 OPS = RefZSetOps()
 
@@ -95,7 +95,7 @@ def test_relation_to_stream_join(spark):
     join_fn = lambda rel, pts: zops.map_z(  # noqa: E731
         zops.join_z(rel, pts, on=[("k", "k")]), {"k": "k", "v": "v", "p": "p"}
     )
-    node = RelationToStreamJoin(join_fn)
+    node = RelationToStreamJoin(SparkZSetOps(), join_fn)
     rel1 = ZSet.from_rows(spark, [(1, "a", 1)], "k int, v string")
     pts1 = ZSet.from_rows(spark, [(1, 10, 1), (2, 20, 1)], "k int, p int")
     out1 = node.step(rel1, pts1)
@@ -105,3 +105,16 @@ def test_relation_to_stream_join(spark):
     pts2 = ZSet.from_rows(spark, [(2, 30, 1)], "k int, p int")
     out2 = node.step(rel2, pts2)
     assert out2.collect_dict() == {(2, "b", 30): 1}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_relation_to_stream_join_ref(seed):
+    """``T(s, t) = ↑⋈(I(s), t)`` on random insert/delete streams."""
+    rnd = make_rng(seed)
+    n = rnd.randint(1, 8)
+    s = [rand_zset2(rnd) for _ in range(n)]
+    t = [rand_zset2(rnd) for _ in range(n)]
+    node = RelationToStreamJoin(OPS, ref_join_ac)
+    got = [node.step(x, y) for x, y in zip(s, t)]
+    spec = st.lift(ref_join_ac)(st.integrate(OPS, s), t)
+    assert st.stream_equal(OPS, got, spec)
