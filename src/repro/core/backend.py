@@ -73,10 +73,6 @@ class GroupOps:
         """Proposition 4.7's ``H(i, d)`` — used by incremental distinct."""
         raise NotImplementedError  # pragma: no cover - interface
 
-    def distinct(self, a):
-        """Definition 4.3 ``distinct`` — used by non-incremental circuits."""
-        raise NotImplementedError  # pragma: no cover - interface
-
     def support_count(self, a) -> int:
         """Distinct rows with non-zero weight (the work/size metric)."""
         raise NotImplementedError  # pragma: no cover - interface
@@ -84,9 +80,6 @@ class GroupOps:
 
 class RefZSetOps(GroupOps):
     """Reference backend: Z-sets as plain dicts."""
-
-    def accumulate(self, state, delta):
-        return delta if state is None else ref.radd(state, delta)
 
     def add(self, a, b):
         return ref.radd(a, b)
@@ -103,23 +96,18 @@ class RefZSetOps(GroupOps):
     def h(self, i, d):
         return ref.rh(i, d)
 
-    def distinct(self, a):
-        return ref.rdistinct(a)
-
     def support_count(self, a) -> int:
         return len(a)
 
 
+#: Checkpointed fragments an append-only state may hold before
+#: :meth:`SparkZSetOps.accumulate` re-consolidates it; the O(R)
+#: consolidation is thus amortized over that many O(C) steps.
+COMPACT_AFTER = 24
+
+
 class SparkZSetOps(GroupOps):
-    """Production backend: Z-sets as Spark DataFrames with a weight column.
-
-    ``compact_after`` bounds how many checkpointed fragments an
-    append-only state may accumulate before it is re-consolidated; the
-    O(R) consolidation is thus amortized over that many O(C) steps.
-    """
-
-    def __init__(self, compact_after: int = 24):
-        self.compact_after = compact_after
+    """Production backend: Z-sets as Spark DataFrames with a weight column."""
 
     def accumulate(self, state: ZSet | None, delta: ZSet) -> ZSet:
         """O(|delta|) state update: checkpoint the delta, append lazily."""
@@ -129,7 +117,7 @@ class SparkZSetOps(GroupOps):
         if state is None:
             return d
         merged = ZSet(state.df.unionByName(d.df), segments=state.segments + 1)
-        if merged.segments >= self.compact_after:
+        if merged.segments >= COMPACT_AFTER:
             return self.materialize(merged)
         return merged
 
@@ -187,9 +175,6 @@ class SparkZSetOps(GroupOps):
         )
         out = joined.withColumn(W, weight.cast("long")).where(F.col(W) != 0)
         return ZSet(out.select(*cols, W))
-
-    def distinct(self, a: ZSet) -> ZSet:
-        return a.distinct()
 
     def support_count(self, a: ZSet) -> int:
         return a.support_count()

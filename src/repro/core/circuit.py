@@ -28,9 +28,6 @@ from .backend import GroupOps
 class Node:
     """A stream operator instance with per-step semantics."""
 
-    def reset(self) -> None:
-        """Forget all state (restart the stream at t = 0)."""
-
     def step(self, *inputs):
         """Consume the inputs at the current timestep, return the output."""
         raise NotImplementedError  # pragma: no cover - interface
@@ -41,9 +38,6 @@ class Delay(Node):
 
     def __init__(self, ops: GroupOps):
         self.ops = ops
-        self._prev = None
-
-    def reset(self) -> None:
         self._prev = None
 
     def step(self, x):
@@ -63,9 +57,6 @@ class Integrate(Node):
         self.ops = ops
         self._acc = None
 
-    def reset(self) -> None:
-        self._acc = None
-
     def step(self, x):
         self._acc = self.ops.accumulate(self._acc, x)
         return self._acc
@@ -76,9 +67,6 @@ class Differentiate(Node):
 
     def __init__(self, ops: GroupOps):
         self.ops = ops
-        self._prev = None
-
-    def reset(self) -> None:
         self._prev = None
 
     def step(self, x):
@@ -105,10 +93,6 @@ class IncrementalJoin(Node):
         self.ops = ops
         self.join_fn = join_fn
         self._ia = None  # z⁻¹(I(a)): integral of a, *excluding* current Δa
-        self._ib = None
-
-    def reset(self) -> None:
-        self._ia = None
         self._ib = None
 
     def state_sizes(self) -> tuple[int, int]:
@@ -145,9 +129,6 @@ class IncrementalDistinct(Node):
         self.ops = ops
         self._i = None  # I(d) excluding the current step
 
-    def reset(self) -> None:
-        self._i = None
-
     def state_size(self) -> int:
         return 0 if self._i is None else self.ops.support_count(self._i)
 
@@ -169,17 +150,10 @@ class BruteIncremental(Node):
     honest implementation for non-incrementalizable operators like MIN.
     """
 
-    def __init__(self, ops: GroupOps, fn: Callable, n_inputs: int = 1):
-        self.ops = ops
+    def __init__(self, ops: GroupOps, fn: Callable):
         self.fn = fn
-        self._integrators = [Integrate(ops) for _ in range(n_inputs)]
+        self._integrate = Integrate(ops)
         self._diff = Differentiate(ops)
 
-    def reset(self) -> None:
-        for i in self._integrators:
-            i.reset()
-        self._diff.reset()
-
-    def step(self, *inputs):
-        fulls = [i.step(x) for i, x in zip(self._integrators, inputs)]
-        return self._diff.step(self.fn(*fulls))
+    def step(self, x):
+        return self._diff.step(self.fn(self._integrate.step(x)))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from . import recursion
 from .backend import GroupOps
 
 
@@ -116,12 +117,6 @@ class NestedIncrementalJoin:
         self.a12 = _TailList(ops, "last")
         self._in_step = False
 
-    def reset(self) -> None:
-        self.b1 = _TailList(self.ops, "zero")
-        self.a1 = _TailList(self.ops, "zero")
-        self.a12 = _TailList(self.ops, "last")
-        self._in_step = False
-
     def max_depth(self) -> int:
         return max(len(self.b1), len(self.a1), len(self.a12))
 
@@ -186,11 +181,6 @@ class NestedIncrementalDistinct:
         self.v_prev = _TailList(ops, "zero")
         self._in_step = False
 
-    def reset(self) -> None:
-        self.u = _TailList(self.ops, "zero")
-        self.v_prev = _TailList(self.ops, "zero")
-        self._in_step = False
-
     def max_depth(self) -> int:
         return max(len(self.u), len(self.v_prev))
 
@@ -240,25 +230,13 @@ class IncrementalRecursive:
     almost everywhere — the fixpoint converges at every outer step).
     """
 
-    def __init__(
-        self,
-        ops: GroupOps,
-        base_fn: Callable,
-        join_fn: Callable,
-        max_inner: int = 10_000,
-    ):
+    def __init__(self, ops: GroupOps, base_fn: Callable, join_fn: Callable):
         self.ops = ops
         self.base_fn = base_fn
         self.join = NestedIncrementalJoin(ops, join_fn)
         self.dist = NestedIncrementalDistinct(ops)
-        self.max_inner = max_inner
         #: inner iterations executed at each outer step (work metric, T7)
         self.inner_iterations: list[int] = []
-
-    def reset(self) -> None:
-        self.join.reset()
-        self.dist.reset()
-        self.inner_iterations = []
 
     def step(self, delta_in):
         ops = self.ops
@@ -270,7 +248,7 @@ class IncrementalRecursive:
         prev_out = zero_rec
         i = 0
         while True:
-            if i >= self.max_inner:
+            if i >= recursion.MAX_ITER:
                 raise RuntimeError("inner fixpoint did not converge")
             e_i = delta_in if i == 0 else zero_in  # ↑δ₀
             r_i = prev_out  # ↑z⁻¹ feedback

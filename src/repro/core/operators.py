@@ -23,7 +23,6 @@ from .circuit import IncrementalJoin, Node
 def incremental_join_node(
     on: Sequence[tuple[str, str]] | Sequence[str],
     project: dict[str, str] | None = None,
-    suffix: str = "_r",
 ) -> IncrementalJoin:
     """A Theorem-3.4 join node over Spark Z-sets.
 
@@ -33,7 +32,7 @@ def incremental_join_node(
     """
 
     def payload(a: ZSet, b: ZSet) -> ZSet:
-        j = ops.join_z(a, b, on=on, suffix=suffix)
+        j = ops.join_z(a, b, on=on)
         return ops.map_z(j, project) if project else j
 
     return IncrementalJoin(SparkZSetOps(), payload)
@@ -64,9 +63,6 @@ class IncrementalGroupAggregate(Node):
         self.aggs = list(aggs)
         self.ops = SparkZSetOps()
         self._i: ZSet | None = None  # integral of the input, pre-change
-
-    def reset(self) -> None:
-        self._i = None
 
     def step(self, d: ZSet) -> ZSet:
         d = d.materialize()

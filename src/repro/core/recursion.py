@@ -26,6 +26,11 @@ from typing import Callable
 from .backend import GroupOps
 from .circuit import IncrementalDistinct, IncrementalJoin
 
+#: Iteration bound of every fixpoint loop (here and in
+#: :class:`repro.core.nested.IncrementalRecursive`): a body that is still
+#: changing after this many iterations raises ``RuntimeError``.
+MAX_ITER = 10_000
+
 
 @dataclass
 class FixpointStats:
@@ -45,7 +50,6 @@ def naive_fixpoint(
     ops: GroupOps,
     body: Callable,
     zero,
-    max_iter: int = 10_000,
     collect_stats: bool = False,
 ) -> tuple[object, FixpointStats]:
     """Naïve evaluation: ``o[k] = body(o[k-1])`` until ``o`` stops changing.
@@ -57,7 +61,7 @@ def naive_fixpoint(
     """
     stats = FixpointStats()
     prev = zero
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         cur = ops.materialize(body(prev))
         stats.iterations += 1
         if collect_stats:
@@ -65,7 +69,7 @@ def naive_fixpoint(
         if ops.equals(cur, prev):
             return cur, stats
         prev = cur
-    raise RuntimeError(f"naive_fixpoint did not converge in {max_iter} iterations")
+    raise RuntimeError(f"naive_fixpoint did not converge in {MAX_ITER} iterations")
 
 
 class IncBody:
@@ -79,17 +83,21 @@ class IncBody:
     * the join becomes :class:`IncrementalJoin` (Thm 3.4), the distinct
       becomes :class:`IncrementalDistinct` (Prop 4.7), linear ops are their
       own incremental (Thm 3.3) — Algorithm 4.8 applied by hand.
+
+    :func:`semi_naive_fixpoint` calls :meth:`reset` before each run, so one
+    body can be evaluated many times.
     """
 
     def __init__(self, ops: GroupOps, base_fn: Callable, join_fn: Callable):
         self.ops = ops
         self.base_fn = base_fn
-        self.join = IncrementalJoin(ops, join_fn)
-        self.dist = IncrementalDistinct(ops)
+        self.join_fn = join_fn
+        self.reset()
 
     def reset(self) -> None:
-        self.join.reset()
-        self.dist.reset()
+        """Fresh join and distinct nodes: the inner stream restarts at 0."""
+        self.join = IncrementalJoin(self.ops, self.join_fn)
+        self.dist = IncrementalDistinct(self.ops)
 
     def rec_zero(self, input_delta):
         """The zero of the recursive relation's schema (feedback seed)."""
@@ -105,14 +113,15 @@ def semi_naive_fixpoint(
     ops: GroupOps,
     inc_body: IncBody,
     base,
-    max_iter: int = 10_000,
     collect_stats: bool = False,
 ) -> tuple[object, FixpointStats]:
     """Semi-naïve evaluation — circuit (5.1).
 
     Feeds ``δ₀(base)`` into the incremental body with a ``z⁻¹`` feedback
     edge and returns ``∫`` of the delta stream (sum until the first zero).
-    Per-iteration work is the size of the *new-facts* delta only.
+    Per-iteration work is the size of the *new-facts* delta only: each
+    delta is folded into the total with ``ops.accumulate``, and the total
+    is consolidated once, on return.
     """
     inc_body.reset()
     stats = FixpointStats()
@@ -120,24 +129,24 @@ def semi_naive_fixpoint(
     zero_rec = inc_body.rec_zero(base)
     total = None
     prev_out = zero_rec
-    for i in range(max_iter):
+    for i in range(MAX_ITER):
         x = base if i == 0 else zero_in  # δ₀(base)
         d = ops.materialize(inc_body.step(x, prev_out))
         stats.iterations += 1
         if collect_stats:
             stats.facts_per_iteration.append(ops.support_count(d))
         if ops.is_zero(d):
-            return (zero_rec if total is None else total), stats
-        total = d if total is None else ops.materialize(ops.add(total, d))
+            return (zero_rec if total is None else ops.consolidate(total)), stats
+        total = ops.accumulate(total, d)
         prev_out = d
-    raise RuntimeError(f"semi_naive_fixpoint did not converge in {max_iter} iterations")
+    raise RuntimeError(f"semi_naive_fixpoint did not converge in {MAX_ITER} iterations")
 
 
-def while_loop(ops: GroupOps, q: Callable, start, max_iter: int = 10_000) -> object:
+def while_loop(ops: GroupOps, q: Callable, start) -> object:
     """§7.7's while-relational program: ``x := i; while x changes: x := Q(x)``.
 
     That is :func:`naive_fixpoint` seeded with ``start``; it returns the
     least fixpoint of ``Q`` above ``start`` if iteration terminates (the
     paper gives no termination guarantee either).
     """
-    return naive_fixpoint(ops, q, ops.materialize(start), max_iter)[0]
+    return naive_fixpoint(ops, q, ops.materialize(start))[0]

@@ -40,10 +40,6 @@ class SlidingSumWindow(Node):
         self.ops = ops
         self.delays = [Delay(ops) for _ in range(k - 1)]
 
-    def reset(self) -> None:
-        for d in self.delays:
-            d.reset()
-
     def step(self, x):
         out = x
         cur = x
@@ -67,10 +63,6 @@ class TimeRangeWindow(Node):
         self.width = width
         self._window: ZSet | None = None  # current window contents
         self._theta: float | None = None
-
-    def reset(self) -> None:
-        self._window = None
-        self._theta = None
 
     def state_size(self) -> int:
         """Rows retained — the paper's bounded-memory claim (T8)."""
@@ -112,9 +104,6 @@ class RelationToStreamJoin(Node):
         self.ops = ops
         self.join_fn = join_fn
         self._integrate = Integrate(ops)
-
-    def reset(self) -> None:
-        self._integrate.reset()
 
     def step(self, rel_delta, points):
         rel = self._integrate.step(rel_delta)

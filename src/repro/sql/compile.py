@@ -54,9 +54,7 @@ def _build(
         if isinstance(node, t.UnionAll):  # linear
             return lambda inputs: left(inputs).add(right(inputs))
         if isinstance(node, t.Join):
-            payload = functools.partial(
-                zops.join_z, on=list(node.on), suffix=node.suffix
-            )
+            payload = functools.partial(zops.join_z, on=list(node.on))
         else:
             payload = zops.cartesian_z
         op = bilinear(node, payload)
@@ -109,12 +107,6 @@ class IncrementalView:
             return lambda x: d.step(x)
 
         self._circuit = _build(self.ast, bilinear, distinct)
-
-    def reset(self) -> None:
-        for j in self._joins.values():
-            j.reset()
-        for d in self._distincts.values():
-            d.reset()
 
     def state_sizes(self) -> dict[str, int]:
         """Support sizes of all integrals held by non-linear nodes."""

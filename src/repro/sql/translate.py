@@ -55,7 +55,6 @@ class Join(Node):
     left: Node
     right: Node
     on: tuple
-    suffix: str = "_r"
 
     @staticmethod
     def of(

@@ -61,14 +61,13 @@ class ZSet:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_df(cls, df: DataFrame, weight: int = 1) -> "ZSet":
-        """Wrap a plain DataFrame as a Z-set, giving every row ``weight``.
+    def from_df(cls, df: DataFrame) -> "ZSet":
+        """Wrap a plain DataFrame as a Z-set, giving every row weight 1.
 
-        With ``weight=1`` this is the paper's ``tozset`` for bags; a true
-        *set* input must not contain duplicate rows (use ``distinct`` on the
-        result if unsure).
+        This is the paper's ``tozset`` for bags; a true *set* input must not
+        contain duplicate rows (use ``distinct`` on the result if unsure).
         """
-        return cls(df.withColumn(W, F.lit(weight).cast("long")))
+        return cls(df.withColumn(W, F.lit(1).cast("long")))
 
     @classmethod
     def from_rows(
@@ -137,9 +136,14 @@ class ZSet:
     # ------------------------------------------------------------------ #
     # predicates / inspection
     # ------------------------------------------------------------------ #
+    def _consolidated_df(self) -> DataFrame:
+        """The consolidated rows; ``materialize`` already consolidated a
+        checkpointed value, so its rows are read as they are."""
+        return self.df if self.checkpointed else self.consolidate().df
+
     def is_empty(self) -> bool:
         """True iff this is the group zero (all weights cancel)."""
-        return len(self.consolidate().df.take(1)) == 0
+        return len(self._consolidated_df().take(1)) == 0
 
     def equals(self, other: "ZSet") -> bool:
         """Group equality: ``self - other == 0``."""
@@ -147,7 +151,7 @@ class ZSet:
 
     def support_count(self) -> int:
         """Number of distinct data tuples with non-zero weight."""
-        return self.consolidate().df.count()
+        return self._consolidated_df().count()
 
     def weight_of(self, **values) -> int:
         """Multiplicity of the row matching the given column values."""

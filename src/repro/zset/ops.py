@@ -22,6 +22,10 @@ from pyspark.sql import functions as F
 
 from .frame import W, ZSet
 
+#: Appended to a right-side data column whose name a left-side column
+#: already has, in the output of ``join_z`` and ``cartesian_z``.
+SUFFIX = "_r"
+
 
 def filter_z(z: ZSet, condition: str) -> ZSet:
     """σ — keep rows matching a SQL predicate; weights unchanged (linear)."""
@@ -43,13 +47,12 @@ def join_z(
     z_left: ZSet,
     z_right: ZSet,
     on: Sequence[tuple[str, str]] | Sequence[str],
-    suffix: str = "_r",
 ) -> ZSet:
     """⋈ — equijoin; output weight = product of input weights (bilinear).
 
     ``on`` is either a list of common column names or a list of
     ``(left_col, right_col)`` pairs. Right-side data columns whose names
-    collide with left-side ones are suffixed with ``suffix`` in the output
+    collide with left-side ones are suffixed with :data:`SUFFIX` in the output
     (including right join keys when both sides use the same name).
     """
     pairs = [(c, c) if isinstance(c, str) else tuple(c) for c in on]
@@ -60,7 +63,7 @@ def join_z(
     renames: dict[str, str] = {}
     for c in z_right.data_cols:
         if c in left_cols:
-            renames[c] = c + suffix
+            renames[c] = c + SUFFIX
     for old, new in renames.items():
         rdf = rdf.withColumnRenamed(old, new)
 
@@ -74,14 +77,14 @@ def join_z(
     return ZSet(joined.drop("__wl", "__wr"))
 
 
-def cartesian_z(z_left: ZSet, z_right: ZSet, suffix: str = "_r") -> ZSet:
+def cartesian_z(z_left: ZSet, z_right: ZSet) -> ZSet:
     """× — Cartesian product; weights multiply (bilinear)."""
     ldf = z_left.df.withColumnRenamed(W, "__wl")
     rdf = z_right.df.withColumnRenamed(W, "__wr")
     left_cols = set(z_left.data_cols)
     for c in z_right.data_cols:
         if c in left_cols:
-            rdf = rdf.withColumnRenamed(c, c + suffix)
+            rdf = rdf.withColumnRenamed(c, c + SUFFIX)
     joined = ldf.crossJoin(rdf)
     joined = joined.withColumn(W, (F.col("__wl") * F.col("__wr")).cast("long"))
     return ZSet(joined.drop("__wl", "__wr"))

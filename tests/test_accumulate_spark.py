@@ -1,6 +1,7 @@
 """Append-only state accumulation (the O(C)-update implementation of I)."""
 import pytest
 
+from repro.core import backend
 from repro.core.backend import SparkZSetOps
 from repro.zset import ref
 from repro.zset.frame import ZSet
@@ -24,9 +25,10 @@ def test_accumulate_equals_add(spark, seed):
         assert state.collect_dict() == want
 
 
-def test_accumulate_compacts(spark):
-    """After compact_after fragments the plan is re-consolidated."""
-    sops = SparkZSetOps(compact_after=4)
+def test_accumulate_compacts(spark, monkeypatch):
+    """After COMPACT_AFTER fragments the plan is re-consolidated."""
+    monkeypatch.setattr(backend, "COMPACT_AFTER", 4)
+    sops = SparkZSetOps()
     state = None
     for i in range(6):
         state = sops.accumulate(state, ZSet.from_rows(spark, [(i, 1)], S1))

@@ -1,7 +1,11 @@
 """Recursion (§5): naïve vs semi-naïve vs independent oracle (ref backend)."""
+import itertools
+
 import pytest
 
+from repro.core import recursion
 from repro.core.backend import RefZSetOps
+from repro.core.nested import IncrementalRecursive
 from repro.core.recursion import (
     IncBody,
     naive_fixpoint,
@@ -66,6 +70,48 @@ def test_semi_naive_equals_naive(seed):
     body = IncBody(OPS, base_fn=dict, join_fn=ref_join_ac)
     semi, _ = semi_naive_fixpoint(OPS, body, e)
     assert semi == naive
+
+
+def test_semi_naive_reuses_body():
+    """One IncBody run twice gives the same fixpoint: each run starts afresh."""
+    e = {(i, i + 1): 1 for i in range(4)}  # a path graph
+    body = IncBody(OPS, base_fn=dict, join_fn=ref_join_ac)
+    first, _ = semi_naive_fixpoint(OPS, body, e)
+    second, _ = semi_naive_fixpoint(OPS, body, e)
+    assert first == second
+    assert set(first) == python_tc(e)
+
+
+def runaway_join(limit):
+    """A bilinear rule body with no fixpoint: fact (s, t) derives (s, t + 1).
+
+    Past ``limit`` calls it fails the test, so a loop that ignores its
+    bound fails instead of running forever.
+    """
+    calls = itertools.count(1)
+
+    def join(a, b):
+        assert next(calls) <= limit, "the loop ran past MAX_ITER"
+        return ref.rjoin(
+            a, b, key_a=lambda r: 0, key_b=lambda r: 0, out=lambda ra, rb: (ra[0], rb[1] + 1)
+        )
+
+    return join
+
+
+@pytest.mark.parametrize("driver", ["naive", "semi_naive", "nested"])
+def test_fixpoints_stop_at_iteration_bound(driver, monkeypatch):
+    """A body that never converges raises RuntimeError after MAX_ITER iterations."""
+    monkeypatch.setattr(recursion, "MAX_ITER", 5)
+    join = runaway_join(limit=100)  # a join node calls it at most 4 times per iteration
+    e = {(0, 0): 1}
+    run = {
+        "naive": lambda: naive_fixpoint(OPS, lambda x: ref.rdistinct(ref.radd(e, join(e, x))), {}),
+        "semi_naive": lambda: semi_naive_fixpoint(OPS, IncBody(OPS, dict, join), e),
+        "nested": lambda: IncrementalRecursive(OPS, dict, join).step(e),
+    }[driver]
+    with pytest.raises(RuntimeError, match="did not converge"):
+        run()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -39,6 +39,11 @@ def test_zero_equals_empty(spark):
     a = ZSet.from_rows(spark, [(1, 2), (1, -2)], S1)
     assert a.is_empty()  # weights cancel
     assert a.equals(z)
+    # a checkpointed value is read as it is: materialize consolidated it
+    assert a.materialize().is_empty()
+    dup = ZSet.from_rows(spark, [(1, 1), (1, 1)], S1).materialize()
+    assert not dup.is_empty()
+    assert dup.support_count() == 1
 
 
 def test_weight_of(spark):
