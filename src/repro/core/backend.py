@@ -6,7 +6,8 @@ this small interface and instantiated twice:
 
 * :class:`SparkZSetOps` — the production backend over Spark DataFrames
   (:class:`repro.zset.frame.ZSet`), where ``materialize`` consolidates and
-  ``localCheckpoint``s loop-carried state;
+  ``localCheckpoint``s loop-carried state, or keeps a small change on the
+  driver; integrals always stay in Spark;
 * :class:`RefZSetOps` — the pure-Python reference backend over
   ``dict[tuple, int]`` from :mod:`repro.zset.ref`, used to test the exact
   same operator code against by-definition semantics, fast.
@@ -110,11 +111,18 @@ class SparkZSetOps(GroupOps):
     """Production backend: Z-sets as Spark DataFrames with a weight column."""
 
     def accumulate(self, state: ZSet | None, delta: ZSet) -> ZSet:
-        """O(|delta|) state update: checkpoint the delta, append lazily."""
-        if delta.known_empty:
-            return delta.zero_like() if state is None else state
-        d = delta.materialize()
-        if state is None:
+        """O(|delta|) state update: materialize the delta, append lazily.
+
+        The state stays in Spark: a state that is still empty takes the
+        delta, checkpointed, as its base; a later local delta is appended
+        as a ``LocalRelation`` fragment, which launches no job.
+        """
+        d = delta if delta.known_empty else delta.materialize()
+        if d.known_empty:
+            return d.zero_like() if state is None else state
+        if state is None or state.known_empty:
+            if d.rows is not None:
+                d = ZSet(d.df.localCheckpoint(eager=True), checkpointed=True)
             return d
         merged = ZSet(state.df.unionByName(d.df), segments=state.segments + 1)
         if merged.segments >= COMPACT_AFTER:
@@ -142,10 +150,12 @@ class SparkZSetOps(GroupOps):
     def small(self, x: ZSet) -> ZSet:
         """Broadcast the change side: ``Δ ⋈ integral`` then probes the
         O(R) state with one scan instead of shuffling it — the physical
-        form of the paper's O(C[t]) per-step claim."""
+        form of the paper's O(C[t]) per-step claim. A local change is
+        returned as it is: the join reads the state's matching rows, or
+        broadcasts the change itself (:mod:`repro.zset.ops`)."""
         from pyspark.sql import functions as F
 
-        return ZSet(F.broadcast(x.df))
+        return x if x.rows is not None else ZSet(F.broadcast(x.df))
 
     def h(self, i: ZSet, d: ZSet) -> ZSet:
         """``H(i, d)`` computed with one probe join against the integral.
@@ -154,13 +164,19 @@ class SparkZSetOps(GroupOps):
         unconsolidated, O(R)) integral is first restricted to the change's
         rows with a broadcast semijoin and only the restriction is
         consolidated — work bounded by one scan plus O(|d|) aggregation,
-        Proposition 4.7's claim in Spark terms.
+        Proposition 4.7's claim in Spark terms. For a local ``d`` the
+        restriction is read to the driver and ``H`` runs there.
         """
         from pyspark.sql import functions as F
 
         from repro.zset.frame import W
 
-        dd = d.materialize().df.withColumnRenamed(W, "__wd")  # reused twice below
+        d = d.materialize()
+        if d.rows is not None:
+            old = i.restrict(d.data_cols, d.rows)
+            if old is not None:
+                return d.local_like(ref.rh(old, d.rows))
+        dd = d.df.withColumnRenamed(W, "__wd")  # reused twice below
         cols = d.data_cols
         keys = F.broadcast(dd.select(*cols))
         restricted = i.df.join(keys, on=cols, how="leftsemi")

@@ -16,21 +16,90 @@ all semantics are defined on the consolidated view, and every comparison /
 predicate here consolidates first. ``materialize`` consolidates and
 ``localCheckpoint``s — mandatory for loop-carried state, otherwise Catalyst
 plans grow without bound across circuit steps.
+
+A small Z-set may instead live on the driver (``ZSet.local``): a
+consolidated ``{row: weight}`` dict plus its schema, on which ``+``, ``−``,
+``distinct``, ``is_empty`` and ``support_count`` run as
+:mod:`repro.zset.ref` dict code. ``materialize`` puts a value there when
+its plan optimizes to a ``LocalRelation`` of fewer than :data:`LOCAL_ROWS`
+rows (reading such a plan launches no Spark job); linear operators keep a
+local value local. Where a local value meets Spark, its ``df`` is a
+``LocalRelation`` built through Arrow, which launches no job either.
 """
 from __future__ import annotations
 
-from typing import Iterable
+import datetime
+import decimal
+import math
+from typing import Iterable, Sequence
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.conversion import ArrowTableToRowsConversion, LocalDataToArrowConversion
+from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.types import StructType, _parse_datatype_string
+
+from . import ref
 
 #: Name of the multiplicity column. Double-underscore so it never collides
 #: with a user data column.
 W = "__w"
 
+#: A Z-set with fewer rows than this may live on the driver: above every
+#: per-step change of the benchmark workloads, below their bulk loads. At 0
+#: every value stays in Spark.
+LOCAL_ROWS = 10_000
+
+
+def _arrow_df(spark: SparkSession, schema: StructType, rows: list[tuple]) -> DataFrame:
+    """A DataFrame over ``rows`` built through Arrow: a ``LocalRelation``
+    (up to Spark's Arrow local-relation threshold), so no job runs."""
+    if rows:
+        table = LocalDataToArrowConversion.convert(rows, schema, False)
+    else:
+        table = to_arrow_schema(schema).empty_table()
+    return spark.createDataFrame(table, schema=schema)
+
+
+def _weight_last(schema: StructType) -> StructType:
+    """``schema`` with the weight column moved to the end."""
+    return StructType([f for f in schema.fields if f.name != W] + [schema[W]])
+
+
+def _summed(schema: StructType, rows: Iterable[tuple]) -> dict[tuple, int]:
+    """Consolidate raw rows of ``schema`` into ``{data-tuple: weight}``."""
+    wi = schema.fieldNames().index(W)
+    return ref.rz(*((r[:wi] + r[wi + 1:], r[wi]) for r in rows))
+
+
+def _sql_literal(v) -> str | None:
+    """``v`` as a Spark SQL literal, or None for a type not rendered here."""
+    if isinstance(v, bool):
+        return None
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return f"{v!r}D" if math.isfinite(v) else None
+    if isinstance(v, str):
+        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    if isinstance(v, decimal.Decimal):
+        return f"{v:f}BD" if v.is_finite() else None
+    if isinstance(v, datetime.date) and not isinstance(v, datetime.datetime):
+        return f"DATE'{v.isoformat()}'"
+    return None
+
+
+def _in(col: str, values: set) -> Column:
+    """``col IN values``; one SQL string, so its size costs no per-value JVM call."""
+    lits = [_sql_literal(v) for v in values]
+    if None in lits:
+        return F.col(col).isin(list(values))
+    return F.expr(f"`{col}` IN ({', '.join(lits)})")
+
 
 class ZSet:
-    """A weighted relation (Z-set) backed by a Spark DataFrame.
+    """A weighted relation (Z-set) backed by a Spark DataFrame, or by a
+    ``{row: weight}`` dict on the driver (:meth:`local`).
 
     The wrapped DataFrame always contains the weight column :data:`W`;
     every other column is a data column. Instances are immutable — all
@@ -43,19 +112,51 @@ class ZSet:
         segments: int = 1,
         known_empty: bool = False,
         checkpointed: bool = False,
+        consolidated: bool = False,
     ):
         if W not in df.columns:
             raise ValueError(f"ZSet DataFrame must contain a '{W}' column")
-        self.df = df
+        self._df = df
+        #: the consolidated ``{data-tuple: weight}`` contents of a Z-set that
+        #: lives on the driver (see :meth:`local`), else None
+        self.rows: dict[tuple, int] | None = None
         #: number of appended (checkpointed) fragments in this plan — used
         #: by the append-only state accumulator to amortize compaction.
         self.segments = segments
         #: statically known to be the group zero (zero_like/empty) — lets
         #: state accumulators skip no-op update jobs.
         self.known_empty = known_empty
-        #: already consolidated + localCheckpointed — operators reuse it
-        #: instead of re-evaluating the producing plan (set by materialize).
+        #: already consolidated with its lineage cut (localCheckpointed, or
+        #: on the driver) — operators reuse it instead of re-evaluating the
+        #: producing plan (set by materialize).
         self.checkpointed = checkpointed
+        #: one row per data tuple, no zero weights: ``consolidate`` is free
+        self.consolidated = consolidated or checkpointed
+
+    @classmethod
+    def local(cls, spark: SparkSession, schema: StructType, rows: dict[tuple, int]) -> "ZSet":
+        """A Z-set on the driver: consolidated ``rows`` over ``schema``
+        (data fields, then the weight field)."""
+        z = cls.__new__(cls)
+        z._df, z._spark, z._schema, z.rows = None, spark, schema, rows
+        z.segments, z.known_empty, z.checkpointed, z.consolidated = 1, not rows, True, True
+        return z
+
+    @property
+    def df(self) -> DataFrame:
+        """The Spark form; a local Z-set gets a ``LocalRelation`` on first use."""
+        if self._df is None:
+            rows = [r + (w,) for r, w in self.rows.items()]
+            self._df = _arrow_df(self._spark, self._schema, rows)
+        return self._df
+
+    @property
+    def schema(self) -> StructType:
+        return self._schema if self.rows is not None else self.df.schema
+
+    def local_like(self, rows: dict[tuple, int], schema: StructType | None = None) -> "ZSet":
+        """A local Z-set with this one's session (and schema, by default)."""
+        return ZSet.local(self._spark, schema or self._schema, rows)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -78,19 +179,17 @@ class ZSet:
         ``schema`` is a DDL string for the *data* columns; each row tuple
         carries the data values followed by an integer weight.
         """
-        rows = list(rows)
-        full_schema = f"{schema}, {W} long" if schema else f"{W} long"
-        df = spark.createDataFrame(rows, schema=full_schema)
-        return cls(df)
+        return cls(_arrow_df(spark, _ddl_schema(schema), list(rows)))
 
     @classmethod
     def empty(cls, spark: SparkSession, schema: str) -> "ZSet":
         """The group zero for the given data-column DDL schema."""
-        full_schema = f"{schema}, {W} long" if schema else f"{W} long"
-        return cls(spark.createDataFrame([], schema=full_schema), known_empty=True)
+        return cls(_arrow_df(spark, _ddl_schema(schema), []), known_empty=True)
 
     def zero_like(self) -> "ZSet":
         """The group zero with this Z-set's schema."""
+        if self.rows is not None:
+            return self.local_like({})
         return ZSet(self.df.limit(0), known_empty=True)
 
     # ------------------------------------------------------------------ #
@@ -99,14 +198,18 @@ class ZSet:
     @property
     def data_cols(self) -> list[str]:
         """Data columns (everything except the weight column)."""
-        return [c for c in self.df.columns if c != W]
+        return [c for c in self.schema.fieldNames() if c != W]
 
     def add(self, other: "ZSet") -> "ZSet":
         """Group addition: weights of equal rows add (lazily)."""
+        if self.rows is not None and other.rows is not None:
+            return self.local_like(ref.radd(self.rows, other.rows))
         return ZSet(self.df.unionByName(other.df))
 
     def neg(self) -> "ZSet":
         """Group negation: flip every weight."""
+        if self.rows is not None:
+            return self.local_like(ref.rneg(self.rows))
         return ZSet(self.df.withColumn(W, -F.col(W)))
 
     def sub(self, other: "ZSet") -> "ZSet":
@@ -115,35 +218,97 @@ class ZSet:
 
     def scale(self, k: int) -> "ZSet":
         """Multiply every weight by the integer ``k``."""
+        if self.rows is not None:
+            return self.local_like(ref.rscale(self.rows, k))
         return ZSet(self.df.withColumn(W, F.col(W) * F.lit(k)))
 
     def consolidate(self) -> "ZSet":
         """Canonical form: one row per distinct data tuple, weight != 0."""
+        if self.consolidated:
+            return self
         return ZSet(
             self.df.groupBy(*self.data_cols)
             .agg(F.sum(W).alias(W))
-            .where(F.col(W) != 0)
+            .where(F.col(W) != 0),
+            consolidated=True,
         )
 
     def materialize(self) -> "ZSet":
-        """Consolidate and cut lineage (for loop-carried state)."""
+        """Consolidate and cut lineage (for loop-carried state).
+
+        A plan that optimizes to a ``LocalRelation`` of fewer than
+        :data:`LOCAL_ROWS` rows is read to the driver, which launches no
+        job; anything else is ``localCheckpoint``ed.
+        """
         if self.checkpointed:
             return self
+        local = ZSet.placed(self.df)
+        if local.rows is not None:
+            return local
         return ZSet(
             self.consolidate().df.localCheckpoint(eager=True), checkpointed=True
         )
 
+    @staticmethod
+    def placed(df: DataFrame) -> "ZSet":
+        """``df`` as a local Z-set if its plan is a small ``LocalRelation``
+        (read with no Spark job), else as a Spark one.
+
+        Only a plan over ``LocalRelation`` leaves of fewer than
+        :data:`LOCAL_ROWS` rows in all is optimized to find out, so a bulk
+        input costs no extra optimizer pass.
+        """
+        plan = df._jdf.queryExecution()
+        leaves = plan.analyzed().collectLeaves()
+        n = 0
+        for i in range(leaves.size()):
+            leaf = leaves.apply(i)
+            if leaf.getClass().getSimpleName() != "LocalRelation":
+                return ZSet(df)
+            n += leaf.data().size()
+        if n < LOCAL_ROWS:
+            opt = plan.optimizedPlan()
+            if opt.getClass().getSimpleName() == "LocalRelation":
+                schema = df.schema
+                rows = _summed(schema, (tuple(r) for r in df.collect()))
+                return ZSet.local(df.sparkSession, _weight_last(schema), rows)
+        return ZSet(df)
+
+    def restrict(self, cols: Sequence[str], keys: Iterable[tuple]) -> dict[tuple, int] | None:
+        """The consolidated rows whose ``cols`` values match one of ``keys``,
+        as ``{data-tuple: weight}``; on a Spark Z-set, a superset of them.
+
+        On a Spark Z-set this is one probe: the rows whose value in each
+        of ``cols`` occurs at that position of some key are read with one
+        bounded (``limit``ed) collect. Returns None if that reaches
+        :data:`LOCAL_ROWS` rows.
+        """
+        keys = [k for k in keys if None not in k]  # SQL equality never matches null
+        if self.rows is not None:
+            idx = [self.data_cols.index(c) for c in cols]
+            wanted = set(keys)
+            return {r: w for r, w in self.rows.items() if tuple(r[i] for i in idx) in wanted}
+        if self.known_empty or not keys:
+            return {}
+        cond = None
+        for j, c in enumerate(cols):
+            clause = _in(c, {k[j] for k in keys})
+            cond = clause if cond is None else cond & clause
+        df = self.df.where(cond)
+        table = df.limit(LOCAL_ROWS).toArrow()
+        if table.num_rows >= LOCAL_ROWS:
+            return None
+        schema = df.schema
+        return _summed(schema, ArrowTableToRowsConversion.convert(table, schema, return_as_tuples=True))
+
     # ------------------------------------------------------------------ #
     # predicates / inspection
     # ------------------------------------------------------------------ #
-    def _consolidated_df(self) -> DataFrame:
-        """The consolidated rows; ``materialize`` already consolidated a
-        checkpointed value, so its rows are read as they are."""
-        return self.df if self.checkpointed else self.consolidate().df
-
     def is_empty(self) -> bool:
         """True iff this is the group zero (all weights cancel)."""
-        return len(self._consolidated_df().take(1)) == 0
+        if self.rows is not None:
+            return not self.rows
+        return len(self.consolidate().df.take(1)) == 0
 
     def equals(self, other: "ZSet") -> bool:
         """Group equality: ``self - other == 0``."""
@@ -151,7 +316,9 @@ class ZSet:
 
     def support_count(self) -> int:
         """Number of distinct data tuples with non-zero weight."""
-        return self._consolidated_df().count()
+        if self.rows is not None:
+            return len(self.rows)
+        return self.consolidate().df.count()
 
     def weight_of(self, **values) -> int:
         """Multiplicity of the row matching the given column values."""
@@ -176,10 +343,13 @@ class ZSet:
     # ------------------------------------------------------------------ #
     def distinct(self) -> "ZSet":
         """Definition 4.3: keep rows with positive weight, at weight 1."""
+        if self.rows is not None:
+            return self.local_like(ref.rdistinct(self.rows))
         return ZSet(
             self.consolidate()
             .df.where(F.col(W) > 0)
-            .withColumn(W, F.lit(1).cast("long"))
+            .withColumn(W, F.lit(1).cast("long")),
+            consolidated=True,
         )
 
     def to_set_df(self) -> DataFrame:
@@ -208,6 +378,8 @@ class ZSet:
 
     def collect_dict(self) -> dict[tuple, int]:
         """Consolidated contents as ``{data-tuple: weight}`` (tests)."""
+        if self.rows is not None:
+            return dict(self.rows)
         cols = self.data_cols
         out: dict[tuple, int] = {}
         for r in self.consolidate().df.collect():
@@ -216,3 +388,8 @@ class ZSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"ZSet(cols={self.data_cols})"
+
+
+def _ddl_schema(schema: str) -> StructType:
+    """A data-column DDL string plus the weight column, as a ``StructType``."""
+    return _parse_datatype_string(f"{schema}, {W} long" if schema else f"{W} long")

@@ -13,13 +13,22 @@ Catalyst. Linearity notes (they drive incrementalization in §3):
 Set operators per Table 1 (inputs are sets, outputs are sets):
 ``union_z(a,b) = distinct(a+b)``, ``difference_z(a,b) = distinct(a-b)``,
 ``intersect_z`` = equijoin on all columns, ``antijoin_z`` per §7.5.
+
+On a local (driver-side) Z-set, σ and π return local Z-sets, and ``⋈`` and
+``×`` of two local Z-sets run as :mod:`repro.zset.ref` code. An equijoin of
+a local Z-set with a Spark one reads the Spark side's matching rows with one
+probe (:meth:`ZSet.restrict`) and joins on the driver; when that probe
+would read too many rows, and for ``×``, the local side is broadcast into
+a Spark join instead.
 """
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
 from pyspark.sql import functions as F
+from pyspark.sql.types import StructField, StructType
 
+from . import ref
 from .frame import W, ZSet
 
 #: Appended to a right-side data column whose name a left-side column
@@ -29,7 +38,8 @@ SUFFIX = "_r"
 
 def filter_z(z: ZSet, condition: str) -> ZSet:
     """σ — keep rows matching a SQL predicate; weights unchanged (linear)."""
-    return ZSet(z.df.where(condition))
+    df = z.df.where(condition)
+    return ZSet.placed(df) if z.rows is not None else ZSet(df)
 
 
 def map_z(z: ZSet, exprs: Mapping[str, str]) -> ZSet:
@@ -39,8 +49,57 @@ def map_z(z: ZSet, exprs: Mapping[str, str]) -> ZSet:
     columns. Rows that collapse to the same output tuple get their weights
     added (on consolidation), which is exactly the Z-set π of Table 1.
     """
+    if z.rows is not None and all(e in z.data_cols for e in exprs.values()):
+        # plain column picks: project the driver-side rows directly
+        idx = [z.data_cols.index(e) for e in exprs.values()]
+        fields = [StructField(n, z.schema[e].dataType, z.schema[e].nullable) for n, e in exprs.items()]
+        schema = StructType(fields + [z.schema[W]])
+        return z.local_like(ref.rmap(z.rows, lambda r: tuple(r[i] for i in idx)), schema)
     sel = [F.expr(e).alias(name) for name, e in exprs.items()] + [F.col(W)]
-    return ZSet(z.df.select(*sel))
+    df = z.df.select(*sel)
+    return ZSet.placed(df) if z.rows is not None else ZSet(df)
+
+
+def _joined_schema(a: ZSet, b: ZSet) -> StructType:
+    """Output schema of ``a ⋈ b`` / ``a × b``: right names that collide get :data:`SUFFIX`."""
+    left = [f for f in a.schema.fields if f.name != W]
+    names = {f.name for f in left}
+    right = [
+        StructField(f.name + SUFFIX if f.name in names else f.name, f.dataType, f.nullable)
+        for f in b.schema.fields
+        if f.name != W
+    ]
+    return StructType(left + right + [a.schema[W]])
+
+
+def _driver_join(a: ZSet, b: ZSet, pairs: list[tuple[str, str]]) -> ZSet | None:
+    """``a ⋈ b`` on the driver, for a local ``a`` or ``b``; None if the
+    other side's probe would read too many rows."""
+    ia = [a.data_cols.index(lc) for lc, _ in pairs]
+    ib = [b.data_cols.index(rc) for _, rc in pairs]
+
+    def key_a(r):
+        return tuple(r[i] for i in ia)
+
+    def key_b(r):
+        return tuple(r[i] for i in ib)
+
+    ra, rb = a.rows, b.rows
+    if ra is None:
+        ra = a.restrict([lc for lc, _ in pairs], map(key_b, rb))
+    elif rb is None:
+        rb = b.restrict([rc for _, rc in pairs], map(key_a, ra))
+    if ra is None or rb is None:
+        return None
+    ra = {r: w for r, w in ra.items() if None not in key_a(r)}  # null keys never match
+    local = a if a.rows is not None else b
+    rows = ref.rjoin(ra, rb, key_a, key_b, lambda x, y: x + y)
+    return local.local_like(rows, _joined_schema(a, b))
+
+
+def _spark_side(z: ZSet):
+    """``z.df``, broadcast if ``z`` is local: a driver-side value is small."""
+    return F.broadcast(z.df) if z.rows is not None else z.df
 
 
 def join_z(
@@ -56,9 +115,13 @@ def join_z(
     (including right join keys when both sides use the same name).
     """
     pairs = [(c, c) if isinstance(c, str) else tuple(c) for c in on]
+    if z_left.rows is not None or z_right.rows is not None:
+        out = _driver_join(z_left, z_right, pairs)
+        if out is not None:
+            return out
 
-    ldf = z_left.df.withColumnRenamed(W, "__wl")
-    rdf = z_right.df.withColumnRenamed(W, "__wr")
+    ldf = _spark_side(z_left).withColumnRenamed(W, "__wl")
+    rdf = _spark_side(z_right).withColumnRenamed(W, "__wr")
     left_cols = set(z_left.data_cols)
     renames: dict[str, str] = {}
     for c in z_right.data_cols:
@@ -79,8 +142,11 @@ def join_z(
 
 def cartesian_z(z_left: ZSet, z_right: ZSet) -> ZSet:
     """× — Cartesian product; weights multiply (bilinear)."""
-    ldf = z_left.df.withColumnRenamed(W, "__wl")
-    rdf = z_right.df.withColumnRenamed(W, "__wr")
+    if z_left.rows is not None and z_right.rows is not None:
+        rows = ref.rcartesian(z_left.rows, z_right.rows)
+        return z_left.local_like(rows, _joined_schema(z_left, z_right))
+    ldf = _spark_side(z_left).withColumnRenamed(W, "__wl")
+    rdf = _spark_side(z_right).withColumnRenamed(W, "__wr")
     left_cols = set(z_left.data_cols)
     for c in z_right.data_cols:
         if c in left_cols:

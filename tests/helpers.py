@@ -49,6 +49,19 @@ def ref_to_spark(spark, rz: dict, schema: str) -> ZSet:
     return ZSet.from_rows(spark, rows, schema)
 
 
+def count_jobs(spark, fn):
+    """``(fn(), number of Spark jobs it launched)``, via a job group."""
+    sc = spark.sparkContext
+    group = f"count-jobs-{id(fn)}"
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 def spark_to_ref(z: ZSet) -> dict:
     """Collect a Spark ZSet into a reference dict."""
     return z.collect_dict()

@@ -68,3 +68,18 @@ def test_zero_like_is_known_empty(spark):
     assert z.zero_like().known_empty
     assert ZSet.empty(spark, S1).known_empty
     assert not z.known_empty
+
+
+@pytest.mark.parametrize("where", ["spark", "driver"])
+def test_accumulate_into_known_empty_state(spark, where):
+    """A known-empty state (a ``_TailList`` filler) takes the delta as its
+    checkpointed base: one fragment, no lineage back to the zero's source."""
+    x = ZSet.from_rows(spark, [(7, 1)], S1)
+    if where == "driver":
+        x = x.materialize()
+    assert (x.rows is not None) == (where == "driver")
+    d = ZSet.from_rows(spark, [(1, 1), (2, -1)], S1)
+    state = SparkZSetOps().accumulate(x.zero_like(), d)
+    assert state.segments == 1
+    assert state.rows is None and state.checkpointed
+    assert state.equals(d)

@@ -152,3 +152,14 @@ def test_missing_input_raises(spark):
     iv = IncrementalView(paper_44_query())
     with pytest.raises(KeyError):
         iv.step({"t1": delta_zset(spark, [(1, 5, 1)], [], T1_SCHEMA)})
+
+
+@pytest.mark.parametrize(
+    "test",
+    [test_paper_44_example_incremental, test_union_view_incremental, test_difference_view_incremental],
+    ids=["paper_44", "union", "difference"],
+)
+def test_views_on_spark_path(spark, spark_path, test):
+    """The same streams with no Z-set on the driver: the Spark path alone
+    keeps the view stream-equal to ``evaluate`` and to DuckDB."""
+    test(spark, 0)

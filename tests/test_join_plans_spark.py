@@ -5,9 +5,14 @@ mark the change side of every term with ``GroupOps.small``, which the
 Spark backend turns into a broadcast hint. With automatic broadcast off
 (the test session's setting), a lost hint shows up as a ``SortMergeJoin``
 (or a ``CartesianProduct``), and a hint leaked into the stored integrals
-would let Spark broadcast the O(R) state.
+would let Spark broadcast the O(R) state. Those tests run on the Spark
+path (``spark_path``); the ones at the end check the driver-side form,
+where a small change is joined on the driver after one probe of each
+integral, and broadcast only when that probe would read too many rows.
 """
 import re
+
+from repro.zset import frame
 
 from repro.core.backend import SparkZSetOps
 from repro.core.circuit import IncrementalJoin
@@ -19,6 +24,7 @@ from repro.sql.compile import IncrementalView
 from repro.zset import ops as zops
 from repro.zset.frame import ZSet
 
+from helpers import count_jobs
 from test_incremental_view_spark import T1_SCHEMA, T2_SCHEMA, delta_zset, drive
 
 S2 = "a int, b int"
@@ -44,7 +50,7 @@ def join_node() -> IncrementalJoin:
     )
 
 
-def test_incremental_join_broadcasts_every_term(spark):
+def test_incremental_join_broadcasts_every_term(spark, spark_path):
     node = join_node()
     node.step(rows(spark, [(1, 2), (2, 3)]), rows(spark, [(2, 5), (3, 6)]))
     for k in range(2):
@@ -61,7 +67,7 @@ def test_incremental_join_state_carries_no_hint(spark):
         assert "ResolvedHint" not in analyzed(state)
 
 
-def test_relation_to_stream_join_broadcasts_points(spark):
+def test_relation_to_stream_join_broadcasts_points(spark, spark_path):
     """The stream-table join probes the integrated relation with the
     step's points instead of shuffling the O(R) state."""
     node = RelationToStreamJoin(
@@ -73,7 +79,7 @@ def test_relation_to_stream_join_broadcasts_points(spark):
     assert plan_ops(out, "SortMergeJoin") == 0
 
 
-def test_nested_join_broadcasts_all_four_terms(spark):
+def test_nested_join_broadcasts_all_four_terms(spark, spark_path):
     """Second outer step, second inner step: every term of the 4-term
     expansion has non-empty inputs, and each one broadcasts its change side."""
     node = NestedIncrementalJoin(SparkZSetOps(), tc_join_fn)
@@ -91,7 +97,7 @@ def test_nested_join_broadcasts_all_four_terms(spark):
             assert "ResolvedHint" not in analyzed(state)
 
 
-def test_incremental_cartesian_view(spark):
+def test_incremental_cartesian_view(spark, spark_path):
     """× through Algorithm 4.8 integrates to ``evaluate`` over the
     snapshots, and its Δ terms plan as broadcast nested-loop joins."""
     ast = t.t_cartesian(
@@ -107,3 +113,36 @@ def test_incremental_cartesian_view(spark):
         })
     assert plan_ops(out, "BroadcastNestedLoopJoin") == 3
     assert plan_ops(out, "CartesianProduct") == 0
+
+
+def test_local_join_terms_probe_each_integral_once(spark):
+    """Default tier: ``Δa⋈Δb`` has no Spark plan, and each integral term
+    costs one probe, so a step over 1-row changes launches 2 jobs."""
+    terms = []
+
+    def payload(a, b):
+        terms.append(zops.join_z(a, b, on=[("b", "a")]))
+        return terms[-1]
+
+    node = IncrementalJoin(SparkZSetOps(), payload)
+    node.step(rows(spark, [(1, 2), (2, 3)]), rows(spark, [(2, 5), (3, 6)]))
+    for k in range(2):
+        del terms[:]
+        out, jobs = count_jobs(spark, lambda: node.step(rows(spark, [(k, 3)]), rows(spark, [(2, k)])))
+        assert len(terms) == 3 and all(z.rows is not None for z in terms)
+        assert out.rows is not None
+        assert jobs == 2
+
+
+def test_local_change_is_broadcast_when_its_probe_overflows(spark, monkeypatch):
+    """A probe that would read ``LOCAL_ROWS`` rows or more falls back to a
+    Spark join that broadcasts the local change against the integral."""
+    monkeypatch.setattr(frame, "LOCAL_ROWS", 3)
+    node = join_node()
+    node.step(rows(spark, [(i, 2) for i in range(4)]), rows(spark, [(2, i) for i in range(4)]))
+    out = node.step(rows(spark, [(9, 2)]), rows(spark, [(2, 9)]))
+    assert out.rows is None
+    assert plan_ops(out, "BroadcastHashJoin") == 2
+    assert plan_ops(out, "SortMergeJoin") == 0
+    assert out.collect_dict() == {(9, 2, 2, 9): 1} | {(9, 2, 2, i): 1 for i in range(4)} | {
+        (i, 2, 2, 9): 1 for i in range(4)}

@@ -68,3 +68,8 @@ def test_inner_iterations_recorded(spark):
     node.step(delta_zset(spark, [(2, 3, 1)]))
     assert len(node.inner_iterations) == 2
     assert all(i >= 1 for i in node.inner_iterations)
+
+
+def test_incremental_recursive_tc_on_spark_path(spark, spark_path):
+    """The Figure-2 circuit with no Z-set on the driver."""
+    test_incremental_recursive_tc_spark(spark, 1)

@@ -137,3 +137,13 @@ def test_count_sum_linear_means_free_incremental(spark):
     # count over the integral == sum of counts over deltas
     assert aggregates.agg_count(d1) + aggregates.agg_count(d2) == 2
     assert aggregates.agg_sum(d1, "k") + aggregates.agg_sum(d2, "k") == 5.0
+
+
+@pytest.mark.parametrize(
+    "test",
+    [test_incremental_join_spark_vs_definition, test_incremental_distinct_spark_vs_definition],
+    ids=["join", "distinct"],
+)
+def test_join_and_distinct_on_spark_path(spark, spark_path, test):
+    """Theorem 3.4 and Proposition 4.7 with no Z-set on the driver."""
+    test(spark, 0)

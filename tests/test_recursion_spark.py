@@ -74,3 +74,12 @@ def test_while_loop_spark(spark, graph):
     assert_equivalent(
         fix.to_set_df(), TC_SQL, e=pd.DataFrame(edges, columns=["h", "t"])
     )
+
+
+def test_semi_naive_equals_naive_on_spark_path(spark, spark_path):
+    """Circuit 5.1 with no Z-set on the driver (the module's ``graph`` is
+    built before the patch, so this builds its own)."""
+    edges = synth_data.random_digraph_edges(n_nodes=25, n_edges=45, seed=3)
+    ze = edges_zset(spark, edges)
+    assert ze.rows is None
+    test_semi_naive_equals_naive_spark(spark, (edges, ze))
