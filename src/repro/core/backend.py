@@ -17,7 +17,9 @@ can start with ``None`` state and never need a schema up front.
 """
 from __future__ import annotations
 
-from repro.zset import ref
+from functools import reduce
+
+from repro.zset import frame, ref
 from repro.zset.frame import ZSet
 
 
@@ -62,6 +64,15 @@ class GroupOps:
             return self.materialize(delta)
         return self.materialize(self.add(state, delta))
 
+    def fold(self, total, delta):
+        """``total + delta`` for a running sum of changes that no later
+        step reads as state (``total`` may be None, the zero).
+
+        Semantically ``add``; a backend may switch to :meth:`accumulate`
+        once the sum is too large to stay a change.
+        """
+        return delta if total is None else self.add(total, delta)
+
     def small(self, x):
         """Mark ``x`` as the change side of a bilinear term (Theorem 3.4).
 
@@ -72,6 +83,13 @@ class GroupOps:
 
     def h(self, i, d):
         """Proposition 4.7's ``H(i, d)`` — used by incremental distinct."""
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def restrict(self, values: list, changes: list) -> list:
+        """Each of ``values`` restricted to the rows in the support of one
+        of ``changes`` (the only rows a row-wise operator such as ``H`` can
+        change there), or to a superset of them, up to the values as they
+        are; the same rows for every value."""
         raise NotImplementedError  # pragma: no cover - interface
 
     def support_count(self, a) -> int:
@@ -96,6 +114,10 @@ class RefZSetOps(GroupOps):
 
     def h(self, i, d):
         return ref.rh(i, d)
+
+    def restrict(self, values, changes):
+        rows = set().union(*changes)
+        return [{r: w for r, w in v.items() if r in rows} for v in values]
 
     def support_count(self, a) -> int:
         return len(a)
@@ -147,6 +169,16 @@ class SparkZSetOps(GroupOps):
     def materialize(self, a: ZSet) -> ZSet:
         return a.materialize()
 
+    def fold(self, total: ZSet | None, delta: ZSet) -> ZSet:
+        """A sum of local changes stays on the driver until it reaches
+        :data:`~repro.zset.frame.LOCAL_ROWS` rows; from then on it is
+        folded with :meth:`accumulate`, appended in Spark."""
+        if total is None:
+            return delta
+        if total.rows is not None and delta.rows is not None and len(total.rows) < frame.LOCAL_ROWS:
+            return total.add(delta)
+        return self.accumulate(total, delta)
+
     def small(self, x: ZSet) -> ZSet:
         """Broadcast the change side: ``Δ ⋈ integral`` then probes the
         O(R) state with one scan instead of shuffling it — the physical
@@ -165,7 +197,8 @@ class SparkZSetOps(GroupOps):
         rows with a broadcast semijoin and only the restriction is
         consolidated — work bounded by one scan plus O(|d|) aggregation,
         Proposition 4.7's claim in Spark terms. For a local ``d`` the
-        restriction is read to the driver and ``H`` runs there.
+        restriction is read to the driver and ``H`` runs there. A null
+        matches a null, as rows of a Z-set do.
         """
         from pyspark.sql import functions as F
 
@@ -176,12 +209,13 @@ class SparkZSetOps(GroupOps):
             old = i.restrict(d.data_cols, d.rows)
             if old is not None:
                 return d.local_like(ref.rh(old, d.rows))
-        dd = d.df.withColumnRenamed(W, "__wd")  # reused twice below
         cols = d.data_cols
-        keys = F.broadcast(dd.select(*cols))
-        restricted = i.df.join(keys, on=cols, how="leftsemi")
-        ii = restricted.groupBy(*cols).agg(F.sum(W).alias("__wi"))
-        joined = dd.join(ii, on=cols, how="left")
+        keys = [f"__k{j}" for j in range(len(cols))]
+        renamed = [F.col(c).alias(k) for c, k in zip(cols, keys)]
+        same = reduce(lambda x, y: x & y, (F.col(c).eqNullSafe(F.col(k)) for c, k in zip(cols, keys)))
+        restricted = i.df.join(F.broadcast(d.df.select(*renamed)), on=same, how="leftsemi")
+        ii = restricted.groupBy(*cols).agg(F.sum(W).alias("__wi")).select(*renamed, "__wi")
+        joined = d.df.withColumnRenamed(W, "__wd").join(ii, on=same, how="left")
         old = F.coalesce(F.col("__wi"), F.lit(0))
         new = old + F.col("__wd")
         weight = (
@@ -192,5 +226,39 @@ class SparkZSetOps(GroupOps):
         out = joined.withColumn(W, weight.cast("long")).where(F.col(W) != 0)
         return ZSet(out.select(*cols, W))
 
+    def restrict(self, values: list[ZSet], changes: list[ZSet]) -> list[ZSet]:
+        """One probe for all ``values``: when every change is local, the
+        tagged union of the values is read at the changes' rows with one
+        :meth:`ZSet.restrict`, and local Z-sets come back. Otherwise, or
+        when the changes touch ``LOCAL_ROWS`` rows or more, the values are
+        returned as they are: so many rows are a bulk change, for which a
+        restriction in Spark would only add a pass over each value."""
+        from pyspark.sql import DataFrame
+        from pyspark.sql import functions as F
+
+        from repro.zset.frame import W
+
+        if not all(c.rows is not None for c in changes):
+            return values
+        rows = set().union(*(c.rows for c in changes))
+        if len(rows) >= frame.LOCAL_ROWS:
+            return values
+        like = changes[0]
+        cols = like.data_cols
+        in_spark = [(n, v) for n, v in enumerate(values) if v.rows is None and not v.known_empty]
+        got = {}
+        if in_spark and rows:
+            tagged = reduce(DataFrame.unionByName, (
+                v.df.select(*cols, F.lit(n).alias("__tag"), W) for n, v in in_spark))
+            got = ZSet(tagged).restrict(cols, rows)
+            if got is None:
+                return values
+        found = [{r: w for r, w in (v.rows or {}).items() if r in rows} for v in values]
+        for r, w in got.items():
+            if r[:-1] in rows:
+                found[r[-1]][r[:-1]] = w
+        return [like.local_like(f) for f in found]
+
     def support_count(self, a: ZSet) -> int:
         return a.support_count()
+

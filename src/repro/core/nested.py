@@ -25,6 +25,8 @@ iteration). The two non-linear operators get doubly-incremental forms:
 
   ``out[t][i] = H( Σ_{i'<i} U_t[i'], U_t[i] ) − v_{t-1}[i]`` with
   ``U_t = I₁(input)`` and ``v_{t-1}`` the previous outer step's H-row.
+  ``H`` works row by row, so ``out[t][i]`` is zero outside the rows the
+  current outer step touched up to ``i``; only those rows are read.
 
 State is kept per inner iteration index (the paper's §6.2 space analysis:
 "space proportional to the number of iterations of the inner loop"), as
@@ -34,6 +36,7 @@ row beyond its stored depth is either zero (inputs, deltas) or constant
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable
 
 from . import recursion
@@ -84,14 +87,14 @@ class _TailList:
         row_tail = row[-1] if (self.tail == "last" and row) else zero
         n = max(len(old_vals), len(row))
         new_vals = []
+        last = None  # (old, cur, sum) of the previous index
         for i in range(n):
             old = old_vals[i] if i < len(old_vals) else old_tail
             cur = row[i] if i < len(row) else row_tail
-            new_vals.append(self.ops.accumulate(old, cur))
+            if last is None or last[0] is not old or last[1] is not cur:
+                last = (old, cur, self.ops.accumulate(old, cur))
+            new_vals.append(last[2])  # a constant tail stays one shared value
         self.vals = new_vals
-
-    def replace(self, row: list) -> None:
-        self.vals = list(row)
 
 
 class NestedIncrementalJoin:
@@ -106,7 +109,8 @@ class NestedIncrementalJoin:
       end of step.
 
     Within one outer step the running inner integrals ``I₂a, I₂b`` and
-    ``I₁I₂b`` are plain accumulators.
+    ``I₁I₂b`` are plain sums: ``I₂a`` and ``I₂b`` are changes, and
+    ``I₁I₂b`` is a sum of stored integrals.
     """
 
     def __init__(self, ops: GroupOps, join_fn: Callable):
@@ -125,7 +129,7 @@ class NestedIncrementalJoin:
         self._in_step = True
         self._i = 0
         self._i2a = None  # running I₂a (inner integral of a, incl. current i)
-        self._i2b = None
+        self._i2b = None  # running I₂b
         self._iib = None  # running I₁I₂b
         self._a_row: list = []
         self._i2a_row: list = []
@@ -145,12 +149,12 @@ class NestedIncrementalJoin:
 
         join, small = self.join_fn, ops.small
         out = join(small(a_i), self._iib)                                    # a ⋈ I₁I₂b
-        out = ops.add(out, join(theta2_a, small(b1_i)))                      # θ₂a ⋈ I₁b
+        out = ops.add(out, join(small(theta2_a), b1_i))                      # θ₂a ⋈ I₁b
         out = ops.add(out, join(self.a12.get(self._i, zero_a), small(b_i)))  # θ₁I₂a ⋈ b
         out = ops.add(out, join(self.a1.get(self._i, zero_a), small(theta2_b)))  # θ₁a ⋈ θ₂b
 
-        self._i2a = ops.accumulate(self._i2a, a_i)
-        self._i2b = b_i if self._i2b is None else ops.add(self._i2b, b_i)
+        self._i2a = ops.fold(self._i2a, a_i)
+        self._i2b = ops.fold(self._i2b, b_i)
         self._a_row.append(a_i)
         self._i2a_row.append(self._i2a)
         self._i += 1
@@ -169,10 +173,17 @@ class NestedIncrementalDistinct:
     """``(↑(↑distinct)^Δ)^Δ`` (see module docstring).
 
     Persistent state: ``U[i] = I₁(input)[t][i]`` (zero tail) and the
-    previous outer step's H-row ``v[t-1]`` (zero tail — H of a zero second
-    argument is zero, so v-rows are zero a.e.). The driver must run the
-    inner loop at least to :meth:`max_depth` each outer step so the stored
-    v-row is fully refreshed (asserted in :meth:`end_outer`).
+    previous outer step's H-row ``v_prev[i]`` (zero tail — H of a zero
+    second argument is zero, so v-rows are zero a.e.), both integrals.
+
+    ``H`` works row by row, so ``out[t][i]`` can be non-zero only on
+    ``T = supp(d[i]) ∪ supp(Σ_{i'<i} d[i'])`` — where this outer step
+    changed ``U[i]`` or ``Σ_{i'<i} U[i']``. Each inner step reads
+    ``U[0..i]`` and ``v_prev[i]`` at ``T`` only (one
+    :meth:`~repro.core.backend.GroupOps.restrict`), and
+    :meth:`end_outer` adds the outputs to ``v_prev``. The driver must run
+    the inner loop at least to :meth:`max_depth` each outer step so every
+    stored v-row is brought up to date (asserted in :meth:`end_outer`).
     """
 
     def __init__(self, ops: GroupOps):
@@ -188,29 +199,31 @@ class NestedIncrementalDistinct:
         assert not self._in_step
         self._in_step = True
         self._i = 0
-        self._s = None  # running z₂I₂U within the current outer step
-        self._v_row: list = []
+        self._ds = None  # Σ_{i'<i} d[i'] within the current outer step
+        self._out_row: list = []
 
     def inner_step(self, d_i):
         assert self._in_step
         ops = self.ops
         zero = ops.zero_like(d_i)
         self.u.add_at(self._i, d_i, zero)
-        u_i = self.u.get(self._i, zero)
-        s = self._s if self._s is not None else zero
-        v_i = ops.materialize(ops.h(s, u_i))
-        out = ops.sub(v_i, self.v_prev.get(self._i, zero))
-        self._s = u_i if self._s is None else ops.add(self._s, u_i)
-        self._v_row.append(v_i)
+        touched = [d_i] if self._ds is None else [d_i, self._ds]
+        state = [self.u.get(k, zero) for k in range(self._i + 1)] + [self.v_prev.get(self._i, zero)]
+        *u, v = ops.restrict(state, touched)
+        s = reduce(ops.add, u[:-1], zero)  # Σ_{i'<i} U[i'] at T
+        out = ops.materialize(ops.sub(ops.h(s, u[-1]), v))
+        self._ds = ops.fold(self._ds, d_i)
+        self._out_row.append(out)
         self._i += 1
-        return ops.consolidate(out)
+        return out
 
     def end_outer(self) -> None:
         assert self._in_step
-        assert len(self._v_row) >= len(self.v_prev), (
+        assert len(self._out_row) >= len(self.v_prev), (
             "driver must run the inner loop to max_depth() every outer step"
         )
-        self.v_prev.replace(self._v_row)
+        if self._out_row:
+            self.v_prev.add_row(self._out_row, self.ops.zero_like(self._out_row[0]))
         self._in_step = False
 
 
@@ -240,6 +253,7 @@ class IncrementalRecursive:
 
     def step(self, delta_in):
         ops = self.ops
+        delta_in = ops.materialize(delta_in)  # evaluated once; a small input is local
         zero_in = ops.zero_like(delta_in)
         zero_rec = ops.zero_like(self.base_fn(delta_in))
         self.join.begin_outer()
@@ -254,14 +268,14 @@ class IncrementalRecursive:
             r_i = prev_out  # ↑z⁻¹ feedback
             j = self.join.inner_step(e_i, r_i)
             s = ops.add(self.base_fn(e_i), j)
-            o = ops.materialize(self.dist.inner_step(s))
+            o = self.dist.inner_step(s)
             o_empty = ops.is_zero(o)
             if o_empty:
                 # statically-known zero: downstream state updates become
                 # no-ops (the Spark backend skips their checkpoint jobs)
                 o = ops.zero_like(o)
             else:
-                total = ops.accumulate(total, o)
+                total = ops.fold(total, o)
             i += 1
             needed = max(self.join.max_depth(), self.dist.max_depth())
             if i >= needed and o_empty:

@@ -120,8 +120,8 @@ def semi_naive_fixpoint(
     Feeds ``δ₀(base)`` into the incremental body with a ``z⁻¹`` feedback
     edge and returns ``∫`` of the delta stream (sum until the first zero).
     Per-iteration work is the size of the *new-facts* delta only: each
-    delta is folded into the total with ``ops.accumulate``, and the total
-    is consolidated once, on return.
+    delta is folded into the total with ``ops.fold`` (no iteration reads
+    the total), and the total is consolidated once, on return.
     """
     inc_body.reset()
     stats = FixpointStats()
@@ -137,7 +137,7 @@ def semi_naive_fixpoint(
             stats.facts_per_iteration.append(ops.support_count(d))
         if ops.is_zero(d):
             return (zero_rec if total is None else ops.consolidate(total)), stats
-        total = ops.accumulate(total, d)
+        total = ops.fold(total, d)
         prev_out = d
     raise RuntimeError(f"semi_naive_fixpoint did not converge in {MAX_ITER} iterations")
 

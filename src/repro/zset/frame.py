@@ -90,7 +90,11 @@ def _sql_literal(v) -> str | None:
 
 
 def _in(col: str, values: set) -> Column:
-    """``col IN values``; one SQL string, so its size costs no per-value JVM call."""
+    """``col IN values``, a null value matching null; one SQL string, so
+    its size costs no per-value JVM call."""
+    if None in values:
+        rest = values - {None}
+        return F.col(col).isNull() | _in(col, rest) if rest else F.col(col).isNull()
     lits = [_sql_literal(v) for v in values]
     if None in lits:
         return F.col(col).isin(list(values))
@@ -201,7 +205,10 @@ class ZSet:
         return [c for c in self.schema.fieldNames() if c != W]
 
     def add(self, other: "ZSet") -> "ZSet":
-        """Group addition: weights of equal rows add (lazily)."""
+        """Group addition: weights of equal rows add (lazily). Adding a
+        known zero of the same schema returns the other operand itself."""
+        if (self.known_empty or other.known_empty) and self.schema == other.schema:
+            return other if self.known_empty else self
         if self.rows is not None and other.rows is not None:
             return self.local_like(ref.radd(self.rows, other.rows))
         return ZSet(self.df.unionByName(other.df))
@@ -277,13 +284,15 @@ class ZSet:
     def restrict(self, cols: Sequence[str], keys: Iterable[tuple]) -> dict[tuple, int] | None:
         """The consolidated rows whose ``cols`` values match one of ``keys``,
         as ``{data-tuple: weight}``; on a Spark Z-set, a superset of them.
+        A null matches a null, as rows of a Z-set do (a join drops null
+        keys itself).
 
         On a Spark Z-set this is one probe: the rows whose value in each
         of ``cols`` occurs at that position of some key are read with one
         bounded (``limit``ed) collect. Returns None if that reaches
         :data:`LOCAL_ROWS` rows.
         """
-        keys = [k for k in keys if None not in k]  # SQL equality never matches null
+        keys = list(keys)
         if self.rows is not None:
             idx = [self.data_cols.index(c) for c in cols]
             wanted = set(keys)

@@ -84,14 +84,15 @@ def _driver_join(a: ZSet, b: ZSet, pairs: list[tuple[str, str]]) -> ZSet | None:
     def key_b(r):
         return tuple(r[i] for i in ib)
 
-    ra, rb = a.rows, b.rows
+    # null keys never match: drop them before the other side is probed
+    ra = None if a.rows is None else {r: w for r, w in a.rows.items() if None not in key_a(r)}
+    rb = None if b.rows is None else {r: w for r, w in b.rows.items() if None not in key_b(r)}
     if ra is None:
         ra = a.restrict([lc for lc, _ in pairs], map(key_b, rb))
     elif rb is None:
         rb = b.restrict([rc for _, rc in pairs], map(key_a, ra))
     if ra is None or rb is None:
         return None
-    ra = {r: w for r, w in ra.items() if None not in key_a(r)}  # null keys never match
     local = a if a.rows is not None else b
     rows = ref.rjoin(ra, rb, key_a, key_b, lambda x, y: x + y)
     return local.local_like(rows, _joined_schema(a, b))

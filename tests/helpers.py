@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random Z-sets and backend conversions."""
 from __future__ import annotations
 
+import itertools
 import random
 
 from repro.zset import ref
@@ -49,10 +50,14 @@ def ref_to_spark(spark, rz: dict, schema: str) -> ZSet:
     return ZSet.from_rows(spark, rows, schema)
 
 
+_groups = itertools.count()
+
+
 def count_jobs(spark, fn):
-    """``(fn(), number of Spark jobs it launched)``, via a job group."""
+    """``(fn(), number of Spark jobs it launched)``, via a job group of
+    its own (a fresh name per call: ``id(fn)`` of a freed lambda recurs)."""
     sc = spark.sparkContext
-    group = f"count-jobs-{id(fn)}"
+    group = f"count-jobs-{next(_groups)}"
     sc.setJobGroup(group, group)
     try:
         out = fn()

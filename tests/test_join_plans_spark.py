@@ -40,6 +40,23 @@ def analyzed(z: ZSet) -> str:
     return z.df._jdf.queryExecution().analyzed().toString()
 
 
+def rdd_ids(z: ZSet, hinted_only: bool = False) -> set[int]:
+    """Ids of the checkpointed RDDs (``LogicalRDD`` leaves) in ``z``'s plan;
+    with ``hinted_only``, only those under a broadcast hint."""
+    ids = set()
+
+    def walk(node, hinted):
+        hinted = hinted or node.getClass().getSimpleName() == "ResolvedHint"
+        children = node.children()
+        if node.getClass().getSimpleName() == "LogicalRDD" and (hinted or not hinted_only):
+            ids.add(node.rdd().id())
+        for i in range(children.size()):
+            walk(children.apply(i), hinted)
+
+    walk(z.df._jdf.queryExecution().analyzed(), False)
+    return ids
+
+
 def rows(spark, vals, schema=S2) -> ZSet:
     return ZSet.from_rows(spark, [v + (1,) for v in vals], schema)
 
@@ -92,6 +109,8 @@ def test_nested_join_broadcasts_all_four_terms(spark, spark_path):
         node.end_outer()
     assert plan_ops(out, "BroadcastHashJoin") == 4
     assert plan_ops(out, "SortMergeJoin") == 0
+    stored = set().union(*(rdd_ids(z) for tail in (node.b1, node.a1, node.a12) for z in tail.vals))
+    assert stored and not rdd_ids(out, hinted_only=True) & stored  # no term broadcasts a stored integral
     for tail in (node.b1, node.a1, node.a12):
         for state in tail.vals:
             assert "ResolvedHint" not in analyzed(state)

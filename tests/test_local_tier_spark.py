@@ -9,8 +9,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.backend import SparkZSetOps
+from repro.core.circuit import IncrementalDistinct
 from repro.sql import translate as t
 from repro.sql.compile import IncrementalView, evaluate
+from repro.zset import frame
 from repro.zset import ops as zops
 from repro.zset.frame import W, ZSet
 
@@ -105,7 +108,8 @@ def test_integrals_stay_in_spark(stepped):
 def test_restrict_reads_matching_rows_of_every_key_type(spark):
     """The probe's ``IN`` filter is one SQL string: quotes, backslashes,
     doubles, decimals, dates, booleans and nulls must all match exactly as
-    Spark's equality does (a null key matches nothing)."""
+    Z-set rows do (a null key matches a null); a join still matches no
+    null key."""
     import datetime
     from decimal import Decimal
 
@@ -120,7 +124,8 @@ def test_restrict_reads_matching_rows_of_every_key_type(spark):
     cols = ["s", "x", "dec", "dt", "b", "n"]
     assert state.restrict(cols, [data[0], data[2]]) == {data[0]: 3, data[2]: 2}
     assert state.restrict(["s"], [(data[1][0],)]) == {data[1]: 2}
-    assert state.restrict(["n"], [(None,)]) == {}
+    assert state.restrict(["n"], [(None,)]) == {data[1]: 2}
+    assert state.restrict(["s", "n"], [(data[1][0], None), ("plain", None)]) == {data[1]: 2}
 
     change = ZSet.from_rows(spark, [("it's", 7, 1), ("plain", 8, -1)], "s string, k int").materialize()
     assert change.rows is not None
@@ -128,3 +133,19 @@ def test_restrict_reads_matching_rows_of_every_key_type(spark):
     assert joined.rows is not None
     want = zops.join_z(ZSet(change.df), state, on=["s"])
     assert joined.collect_dict() == want.collect_dict() != {}
+
+    nulls = ZSet.from_rows(spark, [(None, 1), (1, 1)], "n int").materialize()
+    assert nulls.rows is not None
+    assert zops.join_z(nulls, state, on=["n"]).collect_dict() == {(1,) + data[0]: 2 + 1}
+    assert zops.join_z(state, nulls, on=["n"]).collect_dict() == {data[0] + (1,): 2 + 1}
+
+
+@pytest.mark.parametrize("local_rows", [frame.LOCAL_ROWS, 0], ids=["driver", "spark"])
+def test_distinct_matches_null_rows(spark, monkeypatch, local_rows):
+    """``H`` reads a row with a null column at its old weight: inserted and
+    then deleted, the row leaves the distinct's output, whether ``H`` runs
+    on the driver or as a Spark join."""
+    monkeypatch.setattr(frame, "LOCAL_ROWS", local_rows)
+    node = IncrementalDistinct(SparkZSetOps())
+    assert node.step(ZSet.from_rows(spark, [(None, 1, 1)], "a int, b int")).collect_dict() == {(None, 1): 1}
+    assert node.step(ZSet.from_rows(spark, [(None, 1, -1)], "a int, b int")).collect_dict() == {(None, 1): -1}

@@ -11,6 +11,8 @@ from repro.zset.frame import ZSet
 
 from repro.core.tc import TC_SQL, tc_base_fn, tc_body, tc_join_fn
 
+from helpers import count_jobs
+
 SOPS = SparkZSetOps()
 E_SCHEMA = "h int, t int"
 
@@ -73,3 +75,63 @@ def test_inner_iterations_recorded(spark):
 def test_incremental_recursive_tc_on_spark_path(spark, spark_path):
     """The Figure-2 circuit with no Z-set on the driver."""
     test_incremental_recursive_tc_spark(spark, 1)
+
+
+def closure(edges) -> set:
+    """Transitive closure of an edge set, by plain Python."""
+    reach = set(edges)
+    while True:
+        more = {(h, t2) for h, t in reach for s, t2 in edges if t == s} - reach
+        if not more:
+            return reach
+        reach |= more
+
+
+@pytest.fixture(scope="module")
+def churned(spark):
+    """The Figure-2 circuit after a bulk load of a 3x20 layered DAG and two
+    4-edge steps (3 inserts, 1 delete): the circuit, each step's output
+    and Spark jobs, and the live edges before and after every step."""
+    edges = synth_data.layered_dag_edges(layers=3, width=20, fanout=2, seed=5)
+    initial, deltas = synth_data.edge_change_stream(
+        edges, n_steps=2, inserts_per_step=3, deletes_per_step=1, seed=6
+    )
+    node = IncrementalRecursive(SOPS, base_fn=tc_base_fn, join_fn=tc_join_fn)
+    node.step(delta_zset(spark, [(h, t, 1) for h, t in initial]))
+    live = [set(initial)]
+    steps = []
+    for d in deltas:
+        steps.append(count_jobs(spark, lambda d=d: node.step(delta_zset(spark, d))))
+        live.append((live[-1] | {(h, t) for h, t, w in d if w > 0}) - {(h, t) for h, t, w in d if w < 0})
+    return node, steps, live
+
+
+def test_local_step_launches_at_most_3_jobs_per_inner_iteration(churned):
+    """After the load, a small change and every value derived from it stay
+    on the driver: each inner iteration costs one probe per integral it
+    reads (the distinct's probe and the nested join's integral terms)."""
+    node, steps, live = churned
+    for k, (out, jobs) in enumerate(steps):
+        iters = node.inner_iterations[k + 1]
+        assert jobs <= 3 * iters, (jobs, iters)
+        want = {r: 1 for r in closure(live[k + 1]) - closure(live[k])}
+        want |= {r: -1 for r in closure(live[k]) - closure(live[k + 1])}
+        assert out.rows is not None and out.rows == want
+
+
+def test_nested_integrals_stay_in_spark(churned):
+    """Every non-empty nested integral is a Spark plan over a checkpointed
+    base (a ``LogicalRDD`` leaf), and the constant tail of ``I₂a``'s
+    integral is one shared Z-set, not a copy per inner index."""
+    node = churned[0]
+    lists = [node.join.b1, node.join.a1, node.join.a12, node.dist.u, node.dist.v_prev]
+    for tail in lists:
+        for z in tail.vals:
+            if z.known_empty:
+                continue
+            assert z.rows is None
+            leaves = z.df._jdf.queryExecution().analyzed().collectLeaves()
+            kinds = {leaves.apply(i).getClass().getSimpleName() for i in range(leaves.size())}
+            assert "LogicalRDD" in kinds
+    assert len(node.join.a12) > 1
+    assert len({id(z) for z in node.join.a12.vals}) == 1
