@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from functools import reduce
 
-from repro.zset import frame, ref
-from repro.zset.frame import ZSet
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
+
+from repro.zset import ref
+from repro.zset.frame import W, ZSet
 
 
 class GroupOps:
@@ -53,7 +56,7 @@ class GroupOps:
         return self.is_zero(self.sub(a, b))
 
     def accumulate(self, state, delta):
-        """Fold a small change into large loop-carried state (``I`` update).
+        """Add a small change to large loop-carried state (``I`` update).
 
         Semantically ``state + delta``; backends may keep the state
         *unconsolidated* so the per-step cost is O(|delta|) amortized —
@@ -63,15 +66,6 @@ class GroupOps:
         if state is None:
             return self.materialize(delta)
         return self.materialize(self.add(state, delta))
-
-    def fold(self, total, delta):
-        """``total + delta`` for a running sum of changes that no later
-        step reads as state (``total`` may be None, the zero).
-
-        Semantically ``add``; a backend may switch to :meth:`accumulate`
-        once the sum is too large to stay a change.
-        """
-        return delta if total is None else self.add(total, delta)
 
     def small(self, x):
         """Mark ``x`` as the change side of a bilinear term (Theorem 3.4).
@@ -169,93 +163,45 @@ class SparkZSetOps(GroupOps):
     def materialize(self, a: ZSet) -> ZSet:
         return a.materialize()
 
-    def fold(self, total: ZSet | None, delta: ZSet) -> ZSet:
-        """A sum of local changes stays on the driver until it reaches
-        :data:`~repro.zset.frame.LOCAL_ROWS` rows; from then on it is
-        folded with :meth:`accumulate`, appended in Spark."""
-        if total is None:
-            return delta
-        if total.rows is not None and delta.rows is not None and len(total.rows) < frame.LOCAL_ROWS:
-            return total.add(delta)
-        return self.accumulate(total, delta)
-
     def small(self, x: ZSet) -> ZSet:
         """Broadcast the change side: ``Δ ⋈ integral`` then probes the
         O(R) state with one scan instead of shuffling it — the physical
         form of the paper's O(C[t]) per-step claim. A local change is
         returned as it is: the join reads the state's matching rows, or
         broadcasts the change itself (:mod:`repro.zset.ops`)."""
-        from pyspark.sql import functions as F
-
         return x if x.rows is not None else ZSet(F.broadcast(x.df))
 
     def h(self, i: ZSet, d: ZSet) -> ZSet:
-        """``H(i, d)`` computed with one probe join against the integral.
-
-        Only rows in ``support(d)`` can flip sign: the (possibly
-        unconsolidated, O(R)) integral is first restricted to the change's
-        rows with a broadcast semijoin and only the restriction is
-        consolidated — work bounded by one scan plus O(|d|) aggregation,
-        Proposition 4.7's claim in Spark terms. For a local ``d`` the
-        restriction is read to the driver and ``H`` runs there. A null
-        matches a null, as rows of a Z-set do.
-        """
-        from pyspark.sql import functions as F
-
-        from repro.zset.frame import W
-
+        """``H(i, d) = distinct(i + d) − distinct(i)`` by definition, over
+        the integral read at the change's rows only (:meth:`ZSet.at`):
+        only rows in ``supp(d)`` can flip sign (Proposition 4.7). For a
+        local ``d`` that restriction is read to the driver and ``H`` is
+        dict code; otherwise it is a broadcast semijoin and the result is
+        left unconsolidated."""
         d = d.materialize()
-        if d.rows is not None:
-            old = i.restrict(d.data_cols, d.rows)
-            if old is not None:
-                return d.local_like(ref.rh(old, d.rows))
-        cols = d.data_cols
-        keys = [f"__k{j}" for j in range(len(cols))]
-        renamed = [F.col(c).alias(k) for c, k in zip(cols, keys)]
-        same = reduce(lambda x, y: x & y, (F.col(c).eqNullSafe(F.col(k)) for c, k in zip(cols, keys)))
-        restricted = i.df.join(F.broadcast(d.df.select(*renamed)), on=same, how="leftsemi")
-        ii = restricted.groupBy(*cols).agg(F.sum(W).alias("__wi")).select(*renamed, "__wi")
-        joined = d.df.withColumnRenamed(W, "__wd").join(ii, on=same, how="left")
-        old = F.coalesce(F.col("__wi"), F.lit(0))
-        new = old + F.col("__wd")
-        weight = (
-            F.when((old > 0) & (new <= 0), F.lit(-1))
-            .when((old <= 0) & (new > 0), F.lit(1))
-            .otherwise(F.lit(0))
-        )
-        out = joined.withColumn(W, weight.cast("long")).where(F.col(W) != 0)
-        return ZSet(out.select(*cols, W))
+        old = i.at(d.data_cols, d)
+        return old.add(d).distinct().sub(old.distinct())
 
     def restrict(self, values: list[ZSet], changes: list[ZSet]) -> list[ZSet]:
         """One probe for all ``values``: when every change is local, the
         tagged union of the values is read at the changes' rows with one
         :meth:`ZSet.restrict`, and local Z-sets come back. Otherwise, or
-        when the changes touch ``LOCAL_ROWS`` rows or more, the values are
-        returned as they are: so many rows are a bulk change, for which a
-        restriction in Spark would only add a pass over each value."""
-        from pyspark.sql import DataFrame
-        from pyspark.sql import functions as F
-
-        from repro.zset.frame import W
-
+        when that probe would read too many keys or rows, the values
+        are returned as they are: so many rows are a bulk change, for which
+        a restriction in Spark would only add a pass over each value."""
         if not all(c.rows is not None for c in changes):
             return values
         rows = set().union(*(c.rows for c in changes))
-        if len(rows) >= frame.LOCAL_ROWS:
-            return values
         like = changes[0]
         cols = like.data_cols
-        in_spark = [(n, v) for n, v in enumerate(values) if v.rows is None and not v.known_empty]
-        got = {}
-        if in_spark and rows:
-            tagged = reduce(DataFrame.unionByName, (
-                v.df.select(*cols, F.lit(n).alias("__tag"), W) for n, v in in_spark))
-            got = ZSet(tagged).restrict(cols, rows)
+        found = [{r: w for r, w in (v.rows or {}).items() if r in rows} for v in values]
+        tagged = [v.df.select(*cols, F.lit(n).alias("__tag"), W)
+                  for n, v in enumerate(values) if v.rows is None and not v.known_empty]
+        if tagged:
+            got = ZSet(reduce(DataFrame.unionByName, tagged)).restrict(cols, rows)
             if got is None:
                 return values
-        found = [{r: w for r, w in (v.rows or {}).items() if r in rows} for v in values]
-        for r, w in got.items():
-            if r[:-1] in rows:
+            for r, w in got.items():
                 found[r[-1]][r[:-1]] = w
         return [like.local_like(f) for f in found]
 

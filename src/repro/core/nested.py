@@ -104,8 +104,8 @@ class NestedIncrementalJoin:
 
     * ``B1[i] = Σ_{t'≤t} b[t'][i]``  (zero tail) — updated live so reads at
       inner step ``i`` see ``I₁b`` *including* the current outer step;
-    * ``A1[i] = Σ_{t'<t} a[t'][i]``  (zero tail) — folded at end of step;
-    * ``A12[i] = Σ_{t'<t} (I₂a)[t'][i]`` (constant/last tail) — folded at
+    * ``A1[i] = Σ_{t'<t} a[t'][i]``  (zero tail) — added at end of step;
+    * ``A12[i] = Σ_{t'<t} (I₂a)[t'][i]`` (constant/last tail) — added at
       end of step.
 
     Within one outer step the running inner integrals ``I₂a, I₂b`` and
@@ -153,8 +153,8 @@ class NestedIncrementalJoin:
         out = ops.add(out, join(self.a12.get(self._i, zero_a), small(b_i)))  # θ₁I₂a ⋈ b
         out = ops.add(out, join(self.a1.get(self._i, zero_a), small(theta2_b)))  # θ₁a ⋈ θ₂b
 
-        self._i2a = ops.fold(self._i2a, a_i)
-        self._i2b = ops.fold(self._i2b, b_i)
+        self._i2a = ops.add(theta2_a, a_i)
+        self._i2b = ops.add(theta2_b, b_i)
         self._a_row.append(a_i)
         self._i2a_row.append(self._i2a)
         self._i += 1
@@ -207,12 +207,12 @@ class NestedIncrementalDistinct:
         ops = self.ops
         zero = ops.zero_like(d_i)
         self.u.add_at(self._i, d_i, zero)
-        touched = [d_i] if self._ds is None else [d_i, self._ds]
+        ds = zero if self._ds is None else self._ds
         state = [self.u.get(k, zero) for k in range(self._i + 1)] + [self.v_prev.get(self._i, zero)]
-        *u, v = ops.restrict(state, touched)
+        *u, v = ops.restrict(state, [d_i, ds])
         s = reduce(ops.add, u[:-1], zero)  # Σ_{i'<i} U[i'] at T
         out = ops.materialize(ops.sub(ops.h(s, u[-1]), v))
-        self._ds = ops.fold(self._ds, d_i)
+        self._ds = ops.add(ds, d_i)
         self._out_row.append(out)
         self._i += 1
         return out
@@ -258,8 +258,7 @@ class IncrementalRecursive:
         zero_rec = ops.zero_like(self.base_fn(delta_in))
         self.join.begin_outer()
         self.dist.begin_outer()
-        total = None
-        prev_out = zero_rec
+        total = prev_out = zero_rec
         i = 0
         while True:
             if i >= recursion.MAX_ITER:
@@ -275,7 +274,7 @@ class IncrementalRecursive:
                 # no-ops (the Spark backend skips their checkpoint jobs)
                 o = ops.zero_like(o)
             else:
-                total = ops.fold(total, o)
+                total = ops.add(total, o)
             i += 1
             needed = max(self.join.max_depth(), self.dist.max_depth())
             if i >= needed and o_empty:
@@ -284,4 +283,4 @@ class IncrementalRecursive:
         self.join.end_outer()
         self.dist.end_outer()
         self.inner_iterations.append(i)
-        return zero_rec if total is None else ops.consolidate(total)
+        return ops.consolidate(total)

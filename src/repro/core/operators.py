@@ -4,7 +4,7 @@
 adds the ones whose efficient form needs relational structure:
 
 * :class:`IncrementalGroupAggregate` — §7.4: on a change, re-aggregate only
-  the groups whose grouping Z-set changed (semijoin the integral with the
+  the groups whose grouping Z-set changed (the integral read at the
   change's keys), emitting retraction + assertion rows.
 * :func:`incremental_join_node` — an :class:`IncrementalJoin` wired to
   :func:`repro.zset.ops.join_z` plus an optional output projection.
@@ -45,8 +45,8 @@ class IncrementalGroupAggregate(Node):
     aggregation that must handle deletions). Per step:
 
     1. the changed keys are ``π_keys(d)`` — O(|d|);
-    2. old output rows = aggregate over the integral restricted (semijoin)
-       to the changed keys;
+    2. old output rows = aggregate over the integral at the changed keys
+       (:meth:`~repro.zset.frame.ZSet.at`);
     3. new output rows = same over integral + d;
     4. output change = new − old.
 
@@ -70,12 +70,9 @@ class IncrementalGroupAggregate(Node):
             old_out = None
             new_out = aggregates.group_agg(d, self.keys, self.aggs)
         else:
-            # one scan of the O(R) state, probed with the change's keys,
-            # extracts the changed groups; both the old and the new
-            # aggregates then work on that small slice
-            keys = self.ops.small(d).df.select(*self.keys)
-            touched = ZSet(self._i.df.join(keys, on=self.keys, how="leftsemi"))
-            touched = touched.materialize()
+            # the integral at the change's keys (a null key matching a
+            # null): both the old and the new aggregates work on that slice
+            touched = self._i.at(self.keys, d).materialize()
             old_out = aggregates.group_agg(touched, self.keys, self.aggs)
             new_out = aggregates.group_agg(touched.add(d), self.keys, self.aggs)
         out = new_out if old_out is None else new_out.sub(old_out)

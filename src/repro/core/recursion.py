@@ -120,15 +120,14 @@ def semi_naive_fixpoint(
     Feeds ``δ₀(base)`` into the incremental body with a ``z⁻¹`` feedback
     edge and returns ``∫`` of the delta stream (sum until the first zero).
     Per-iteration work is the size of the *new-facts* delta only: each
-    delta is folded into the total with ``ops.fold`` (no iteration reads
-    the total), and the total is consolidated once, on return.
+    delta is added to the total (no iteration reads the total), and the
+    total is consolidated once, on return.
     """
     inc_body.reset()
     stats = FixpointStats()
     zero_in = ops.zero_like(base)
     zero_rec = inc_body.rec_zero(base)
-    total = None
-    prev_out = zero_rec
+    total = prev_out = zero_rec
     for i in range(MAX_ITER):
         x = base if i == 0 else zero_in  # δ₀(base)
         d = ops.materialize(inc_body.step(x, prev_out))
@@ -136,8 +135,8 @@ def semi_naive_fixpoint(
         if collect_stats:
             stats.facts_per_iteration.append(ops.support_count(d))
         if ops.is_zero(d):
-            return (zero_rec if total is None else ops.consolidate(total)), stats
-        total = ops.fold(total, d)
+            return ops.consolidate(total), stats
+        total = ops.add(total, d)
         prev_out = d
     raise RuntimeError(f"semi_naive_fixpoint did not converge in {MAX_ITER} iterations")
 

@@ -25,12 +25,16 @@ its plan optimizes to a ``LocalRelation`` of fewer than :data:`LOCAL_ROWS`
 rows (reading such a plan launches no Spark job); linear operators keep a
 local value local. Where a local value meets Spark, its ``df`` is a
 ``LocalRelation`` built through Arrow, which launches no job either.
+State is read at a change's rows in one way, :meth:`ZSet.at`. Every
+choice between the driver and Spark is made in this module.
 """
 from __future__ import annotations
 
 import datetime
 import decimal
 import math
+import operator
+from functools import reduce
 from typing import Iterable, Sequence
 
 from pyspark.sql import Column, DataFrame, SparkSession
@@ -135,7 +139,7 @@ class ZSet:
         #: producing plan (set by materialize).
         self.checkpointed = checkpointed
         #: one row per data tuple, no zero weights: ``consolidate`` is free
-        self.consolidated = consolidated or checkpointed
+        self.consolidated = consolidated or checkpointed or known_empty
 
     @classmethod
     def local(cls, spark: SparkSession, schema: StructType, rows: dict[tuple, int]) -> "ZSet":
@@ -160,6 +164,8 @@ class ZSet:
 
     def local_like(self, rows: dict[tuple, int], schema: StructType | None = None) -> "ZSet":
         """A local Z-set with this one's session (and schema, by default)."""
+        if self.rows is None:
+            return ZSet.local(self.df.sparkSession, schema or _weight_last(self.df.schema), rows)
         return ZSet.local(self._spark, schema or self._schema, rows)
 
     # ------------------------------------------------------------------ #
@@ -206,10 +212,13 @@ class ZSet:
 
     def add(self, other: "ZSet") -> "ZSet":
         """Group addition: weights of equal rows add (lazily). Adding a
-        known zero of the same schema returns the other operand itself."""
+        known zero of the same schema returns the other operand itself.
+        The sum of two local Z-sets stays on the driver while they hold
+        fewer than :data:`LOCAL_ROWS` rows together; above that it is a
+        lazy Spark union."""
         if (self.known_empty or other.known_empty) and self.schema == other.schema:
             return other if self.known_empty else self
-        if self.rows is not None and other.rows is not None:
+        if self.rows is not None and other.rows is not None and len(self.rows) + len(other.rows) < LOCAL_ROWS:
             return self.local_like(ref.radd(self.rows, other.rows))
         return ZSet(self.df.unionByName(other.df))
 
@@ -283,32 +292,50 @@ class ZSet:
 
     def restrict(self, cols: Sequence[str], keys: Iterable[tuple]) -> dict[tuple, int] | None:
         """The consolidated rows whose ``cols`` values match one of ``keys``,
-        as ``{data-tuple: weight}``; on a Spark Z-set, a superset of them.
-        A null matches a null, as rows of a Z-set do (a join drops null
-        keys itself).
+        as ``{data-tuple: weight}``. A null matches a null, as rows of a
+        Z-set do (a join drops null keys itself).
 
         On a Spark Z-set this is one probe: the rows whose value in each
         of ``cols`` occurs at that position of some key are read with one
-        bounded (``limit``ed) collect. Returns None if that reaches
-        :data:`LOCAL_ROWS` rows.
+        bounded (``limit``ed) collect. Returns None if there are
+        :data:`LOCAL_ROWS` keys or more, or the probe reaches that many rows.
         """
-        keys = list(keys)
-        if self.rows is not None:
-            idx = [self.data_cols.index(c) for c in cols]
-            wanted = set(keys)
-            return {r: w for r, w in self.rows.items() if tuple(r[i] for i in idx) in wanted}
-        if self.known_empty or not keys:
-            return {}
-        cond = None
-        for j, c in enumerate(cols):
-            clause = _in(c, {k[j] for k in keys})
-            cond = clause if cond is None else cond & clause
-        df = self.df.where(cond)
-        table = df.limit(LOCAL_ROWS).toArrow()
-        if table.num_rows >= LOCAL_ROWS:
+        wanted = set(keys)
+        if len(wanted) >= LOCAL_ROWS:
             return None
-        schema = df.schema
-        return _summed(schema, ArrowTableToRowsConversion.convert(table, schema, return_as_tuples=True))
+        rows = self.rows
+        if rows is None:
+            if self.known_empty or not wanted:
+                return {}
+            cond = reduce(operator.and_, (_in(c, {k[j] for k in wanted}) for j, c in enumerate(cols)))
+            df = self.df.where(cond)
+            table = df.limit(LOCAL_ROWS).toArrow()
+            if table.num_rows >= LOCAL_ROWS:
+                return None
+            schema = df.schema
+            rows = _summed(schema, ArrowTableToRowsConversion.convert(table, schema, return_as_tuples=True))
+        idx = [self.data_cols.index(c) for c in cols]
+        return {r: w for r, w in rows.items() if tuple(r[i] for i in idx) in wanted}
+
+    def at(self, cols: Sequence[str], change: "ZSet") -> "ZSet":
+        """This Z-set at the rows whose ``cols`` match a row of ``change``
+        (a null matching a null): the only rows a row-wise operator such
+        as ``H`` or a group's aggregate reads.
+
+        For a local ``change`` this is the :meth:`restrict` probe, read to
+        the driver; when that probe would read :data:`LOCAL_ROWS` rows or
+        more, and for a Spark ``change``, it is one broadcast null-safe
+        semijoin in Spark.
+        """
+        if change.rows is not None:
+            idx = [change.data_cols.index(c) for c in cols]
+            rows = self.restrict(cols, (tuple(r[i] for i in idx) for r in change.rows))
+            if rows is not None:
+                return self.local_like(rows)
+        keys = [f"__k{j}" for j in range(len(cols))]
+        probe = F.broadcast(change.df.select(*(F.col(c).alias(k) for c, k in zip(cols, keys))))
+        same = reduce(operator.and_, (F.col(c).eqNullSafe(F.col(k)) for c, k in zip(cols, keys)))
+        return ZSet(self.df.join(probe, on=same, how="leftsemi"))
 
     # ------------------------------------------------------------------ #
     # predicates / inspection
@@ -330,10 +357,11 @@ class ZSet:
         return self.consolidate().df.count()
 
     def weight_of(self, **values) -> int:
-        """Multiplicity of the row matching the given column values."""
+        """Multiplicity of the row matching the given column values (a
+        null matching a null)."""
         df = self.consolidate().df
         for k, v in values.items():
-            df = df.where(F.col(k) == F.lit(v))
+            df = df.where(F.col(k).eqNullSafe(F.lit(v)))
         rows = df.agg(F.coalesce(F.sum(W), F.lit(0)).alias(W)).collect()
         return rows[0][W]
 

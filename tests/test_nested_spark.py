@@ -7,6 +7,7 @@ from repro.core.backend import SparkZSetOps
 from repro.core.nested import IncrementalRecursive
 from repro.core.recursion import naive_fixpoint
 from repro.oracle import assert_equivalent
+from repro.zset import frame
 from repro.zset.frame import ZSet
 
 from repro.core.tc import TC_SQL, tc_base_fn, tc_body, tc_join_fn
@@ -72,9 +73,13 @@ def test_inner_iterations_recorded(spark):
     assert all(i >= 1 for i in node.inner_iterations)
 
 
-def test_incremental_recursive_tc_on_spark_path(spark, spark_path):
-    """The Figure-2 circuit with no Z-set on the driver."""
-    test_incremental_recursive_tc_spark(spark, 1)
+def test_incremental_recursive_tc_on_spark_path(spark, monkeypatch):
+    """The Figure-2 circuit with no Z-set on the driver, then with a
+    20-row threshold, at which running sums cross from the driver to Spark
+    mid-fixpoint."""
+    for local_rows in (0, 20):
+        monkeypatch.setattr(frame, "LOCAL_ROWS", local_rows)
+        test_incremental_recursive_tc_spark(spark, 1)
 
 
 def closure(edges) -> set:

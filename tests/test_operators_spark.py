@@ -129,6 +129,21 @@ def test_group_aggregate_group_vanishes(spark):
     assert out == {(1, 1): -1}
 
 
+def test_group_aggregate_null_key(spark):
+    """A null group key is one group, as in SQL: its old output row is
+    retracted when the group changes. The integrated output equals the
+    aggregate recomputed over the integrated input at every step."""
+    keys, aggs, schema = ["k"], [("s", "sum", "v"), ("n", "count", None)], "k int, v double"
+    inc = IncrementalGroupAggregate(keys, aggs)
+    acc, live = {}, {}
+    for d in ([(None, 1.0, 1), (1, 2.0, 1)], [(None, 3.0, 1)], [(None, 1.0, -1)]):
+        acc = ref.radd(acc, inc.step(ZSet.from_rows(spark, d, schema)).collect_dict())
+        live = ref.radd(live, {r[:-1]: r[-1] for r in d})
+        whole = ZSet.from_rows(spark, [r + (w,) for r, w in live.items()], schema)
+        assert acc == aggregates.group_agg(whole, keys, aggs).collect_dict()
+    assert acc == {(None, 3.0, 1): 1, (1, 2.0, 1): 1}
+
+
 def test_count_sum_linear_means_free_incremental(spark):
     """§7.2: for linear aggregates the change of the output needs only the
     change of the input — computed directly on deltas."""

@@ -6,6 +6,7 @@ from repro import synth_data
 from repro.core.backend import SparkZSetOps
 from repro.core.recursion import IncBody, naive_fixpoint, semi_naive_fixpoint
 from repro.oracle import assert_equivalent
+from repro.zset import frame
 from repro.zset import ops as zops
 from repro.zset.frame import ZSet
 
@@ -76,10 +77,14 @@ def test_while_loop_spark(spark, graph):
     )
 
 
-def test_semi_naive_equals_naive_on_spark_path(spark, spark_path):
-    """Circuit 5.1 with no Z-set on the driver (the module's ``graph`` is
-    built before the patch, so this builds its own)."""
-    edges = synth_data.random_digraph_edges(n_nodes=25, n_edges=45, seed=3)
-    ze = edges_zset(spark, edges)
-    assert ze.rows is None
-    test_semi_naive_equals_naive_spark(spark, (edges, ze))
+def test_semi_naive_equals_naive_on_spark_path(spark, monkeypatch):
+    """Circuit 5.1 with no Z-set on the driver, then with a 100-row
+    threshold, at which the 45-edge input is local and running sums cross
+    from the driver to Spark mid-fixpoint (the module's ``graph`` is built
+    before the patch, so this builds its own)."""
+    for local_rows in (0, 100):
+        monkeypatch.setattr(frame, "LOCAL_ROWS", local_rows)
+        edges = synth_data.random_digraph_edges(n_nodes=25, n_edges=45, seed=3)
+        ze = edges_zset(spark, edges)
+        assert (ze.rows is None) == (local_rows == 0)
+        test_semi_naive_equals_naive_spark(spark, (edges, ze))

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.zset import aggregates, ops, ref
+from repro.zset import aggregates, frame, ops, ref
 from repro.zset.frame import ZSet
 
 from helpers import make_rng, rand_set2, rand_zset1, rand_zset2, ref_to_spark
@@ -47,10 +47,11 @@ def test_zero_equals_empty(spark):
 
 
 def test_weight_of(spark):
-    a = ZSet.from_rows(spark, [(1, 2), (2, -3)], S1)
+    a = ZSet.from_rows(spark, [(1, 2), (2, -3), (None, 4)], S1)
     assert a.weight_of(k=1) == 2
     assert a.weight_of(k=2) == -3
     assert a.weight_of(k=99) == 0
+    assert a.weight_of(k=None) == 4  # a null matches a null, as rows of a Z-set do
 
 
 def test_to_bag_expands_multiplicities(spark):
@@ -148,14 +149,18 @@ def test_flatmap(spark):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_h_function_spark_vs_ref(spark, seed):
-    """SparkZSetOps.h == reference H (Prop 4.7)."""
+def test_h_function_spark_vs_ref(spark, monkeypatch, seed):
+    """SparkZSetOps.h == reference H (Prop 4.7), both on the driver and in
+    Spark (``LOCAL_ROWS`` 0), with a null row in both arguments."""
     from repro.core.backend import SparkZSetOps
 
     rnd = make_rng(seed)
     i, d = rand_zset1(rnd), rand_zset1(rnd)
-    zi, zd = ref_to_spark(spark, i, S1), ref_to_spark(spark, d, S1)
-    assert SparkZSetOps().h(zi, zd).collect_dict() == ref.rh(i, d)
+    i[(None,)], d[(None,)] = rnd.choice([-2, -1, 1, 2]), rnd.choice([-2, -1, 1, 2])
+    for local_rows in (frame.LOCAL_ROWS, 0):
+        monkeypatch.setattr(frame, "LOCAL_ROWS", local_rows)
+        zi, zd = (ZSet.from_rows(spark, [r + (w,) for r, w in z.items()], S1) for z in (i, d))
+        assert SparkZSetOps().h(zi, zd).collect_dict() == ref.rh(i, d)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
