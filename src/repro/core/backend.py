@@ -176,8 +176,8 @@ class SparkZSetOps(GroupOps):
         the integral read at the change's rows only (:meth:`ZSet.at`):
         only rows in ``supp(d)`` can flip sign (Proposition 4.7). For a
         local ``d`` that restriction is read to the driver and ``H`` is
-        dict code; otherwise it is a broadcast semijoin and the result is
-        left unconsolidated."""
+        dict code; otherwise it is a lazy Spark plan (:meth:`ZSet.near`)
+        and the result is left unconsolidated."""
         d = d.materialize()
         old = i.at(d.data_cols, d)
         return old.add(d).distinct().sub(old.distinct())

@@ -21,9 +21,9 @@ from typing import Callable
 
 from pyspark.sql import functions as F
 
-from repro.zset.frame import ZSet
+from repro.zset.frame import W, ZSet
 
-from .backend import GroupOps
+from .backend import GroupOps, SparkZSetOps
 from .circuit import Delay, Integrate, Node
 
 
@@ -56,12 +56,23 @@ class TimeRangeWindow(Node):
     watermark ``theta`` (so downstream circuits stay incremental); the
     state is the current window only — rows older than ``theta - width``
     are evicted, never to return (requires θ monotone, asserted).
+
+    The state is the integral of the output, kept by
+    :meth:`SparkZSetOps.accumulate`. With ``lo = θ − width`` and the
+    previous step's ``prev_lo``, the output is
+    ``σ_{ts≥lo}(Δ) − σ_{prev_lo≤ts<lo}(W)``: a monotone θ evicted every
+    row with ``ts < prev_lo`` already, so its rows in ``W`` net to zero.
+    That output is read to the driver with one bounded read over the
+    change and the state together; the first step, and an output too
+    large for that read (:meth:`~repro.zset.frame.ZSet.read`), are
+    materialized in Spark.
     """
 
     def __init__(self, ts_col: str, width: float):
         self.ts_col = ts_col
         self.width = width
-        self._window: ZSet | None = None  # current window contents
+        self.ops = SparkZSetOps()
+        self._window: ZSet | None = None  # current window contents, unconsolidated
         self._theta: float | None = None
 
     def state_size(self) -> int:
@@ -74,20 +85,21 @@ class TimeRangeWindow(Node):
     def step(self, delta: ZSet, theta: float) -> ZSet:
         if self._theta is not None and theta < self._theta:
             raise ValueError("watermark must be monotone")
-        self._theta = theta
+        ts = F.col(self.ts_col)
         lo = theta - self.width
-        live_delta = ZSet(delta.df.where(F.col(self.ts_col) >= F.lit(lo)))
+        live = delta.df.where(ts >= F.lit(lo))
         if self._window is None:
-            new_window = live_delta.materialize()
-            out = new_window
+            out = ZSet(live).materialize()
         else:
-            evicted = ZSet(self._window.df.where(F.col(self.ts_col) < F.lit(lo)))
-            new_window = ZSet(
-                self._window.df.where(F.col(self.ts_col) >= F.lit(lo))
-            ).add(live_delta).materialize()
-            out = live_delta.sub(evicted)
-        self._window = new_window
-        return out.consolidate()
+            prev_lo = self._theta - self.width
+            evicted = self._window.df.where((ts >= F.lit(prev_lo)) & (ts < F.lit(lo)))
+            plan = live.unionByName(evicted.withColumn(W, -F.col(W)))
+            out = ZSet.read(plan)
+            if out is None:
+                out = ZSet(plan).materialize()
+        self._theta = theta
+        self._window = self.ops.accumulate(self._window, out)
+        return out
 
 
 class RelationToStreamJoin(Node):

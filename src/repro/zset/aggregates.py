@@ -93,4 +93,5 @@ def group_agg(
                 (F.sum(F.col(col) * F.col(W)) / F.sum(W)).alias(name)
             )
     out = c.groupBy(*keys).agg(*exprs)
-    return ZSet(out.withColumn(W, F.lit(1).cast("long")))
+    # one row per group, at weight 1: consolidated as it is
+    return ZSet(out.withColumn(W, F.lit(1).cast("long")), consolidated=True)

@@ -24,8 +24,11 @@ consolidated ``{row: weight}`` dict plus its schema, on which ``+``, ``−``,
 its plan optimizes to a ``LocalRelation`` of fewer than :data:`LOCAL_ROWS`
 rows (reading such a plan launches no Spark job); linear operators keep a
 local value local. Where a local value meets Spark, its ``df`` is a
-``LocalRelation`` built through Arrow, which launches no job either.
-State is read at a change's rows in one way, :meth:`ZSet.at`. Every
+``LocalRelation`` built through Arrow, which launches no job either; a
+value of :data:`LOCAL_ROWS` rows or more is always such a Spark value.
+Spark rows reach the driver through one bounded read of one stage,
+:meth:`ZSet.read`; state is read at a change's rows through
+:meth:`ZSet.at` (to the driver) or :meth:`ZSet.near` (a lazy plan). Every
 choice between the driver and Spark is made in this module.
 """
 from __future__ import annotations
@@ -105,6 +108,19 @@ def _in(col: str, values: set) -> Column:
     return F.expr(f"`{col}` IN ({', '.join(lits)})")
 
 
+def _matching(cols: Sequence[str], keys: set) -> Column:
+    """Rows whose value in each of ``cols`` occurs at that position of one
+    of the (non-empty) ``keys``: exactly the keys' rows for one column, a
+    superset of them for several."""
+    return reduce(operator.and_, (_in(c, {k[j] for k in keys}) for j, c in enumerate(cols)))
+
+
+def _keys(change: "ZSet", cols: Sequence[str]) -> set[tuple]:
+    """The ``cols`` values of a local ``change``'s rows."""
+    idx = [change.data_cols.index(c) for c in cols]
+    return {tuple(r[i] for i in idx) for r in change.rows}
+
+
 class ZSet:
     """A weighted relation (Z-set) backed by a Spark DataFrame, or by a
     ``{row: weight}`` dict on the driver (:meth:`local`).
@@ -144,7 +160,12 @@ class ZSet:
     @classmethod
     def local(cls, spark: SparkSession, schema: StructType, rows: dict[tuple, int]) -> "ZSet":
         """A Z-set on the driver: consolidated ``rows`` over ``schema``
-        (data fields, then the weight field)."""
+        (data fields, then the weight field). A driver-side Z-set holds
+        fewer than :data:`LOCAL_ROWS` rows: more rows become a Spark
+        ``LocalRelation`` (built through Arrow, no job)."""
+        if len(rows) >= LOCAL_ROWS:
+            data = [r + (w,) for r, w in rows.items()]
+            return cls(_arrow_df(spark, schema, data), known_empty=not rows, consolidated=True)
         z = cls.__new__(cls)
         z._df, z._spark, z._schema, z.rows = None, spark, schema, rows
         z.segments, z.known_empty, z.checkpointed, z.consolidated = 1, not rows, True, True
@@ -296,9 +317,9 @@ class ZSet:
         Z-set do (a join drops null keys itself).
 
         On a Spark Z-set this is one probe: the rows whose value in each
-        of ``cols`` occurs at that position of some key are read with one
-        bounded (``limit``ed) collect. Returns None if there are
-        :data:`LOCAL_ROWS` keys or more, or the probe reaches that many rows.
+        of ``cols`` occurs at that position of some key, read with
+        :meth:`read`. Returns None if there are :data:`LOCAL_ROWS` keys or
+        more, or the probe reaches that many rows.
         """
         wanted = set(keys)
         if len(wanted) >= LOCAL_ROWS:
@@ -307,31 +328,59 @@ class ZSet:
         if rows is None:
             if self.known_empty or not wanted:
                 return {}
-            cond = reduce(operator.and_, (_in(c, {k[j] for k in wanted}) for j, c in enumerate(cols)))
-            df = self.df.where(cond)
-            table = df.limit(LOCAL_ROWS).toArrow()
-            if table.num_rows >= LOCAL_ROWS:
+            got = ZSet.read(self.df.where(_matching(cols, wanted)))
+            if got is None:
                 return None
-            schema = df.schema
-            rows = _summed(schema, ArrowTableToRowsConversion.convert(table, schema, return_as_tuples=True))
+            rows = got.rows
         idx = [self.data_cols.index(c) for c in cols]
         return {r: w for r, w in rows.items() if tuple(r[i] for i in idx) in wanted}
+
+    @staticmethod
+    def read(df: DataFrame) -> "ZSet | None":
+        """``df`` consolidated on the driver, or None if it has
+        :data:`LOCAL_ROWS` rows or more: the one bounded read of Spark
+        rows to the driver. It is one job of one stage: ``coalesce(1)``
+        hands ``limit`` a single partition, so the collect needs no
+        shuffle to gather its rows."""
+        table = df.coalesce(1).limit(LOCAL_ROWS).toArrow()
+        if table.num_rows >= LOCAL_ROWS:
+            return None
+        schema = df.schema
+        rows = _summed(schema, ArrowTableToRowsConversion.convert(table, schema, return_as_tuples=True))
+        return ZSet.local(df.sparkSession, _weight_last(schema), rows)
 
     def at(self, cols: Sequence[str], change: "ZSet") -> "ZSet":
         """This Z-set at the rows whose ``cols`` match a row of ``change``
         (a null matching a null): the only rows a row-wise operator such
-        as ``H`` or a group's aggregate reads.
+        as ``H`` reads.
 
         For a local ``change`` this is the :meth:`restrict` probe, read to
         the driver; when that probe would read :data:`LOCAL_ROWS` rows or
-        more, and for a Spark ``change``, it is one broadcast null-safe
-        semijoin in Spark.
+        more, and for a Spark ``change``, it is the lazy :meth:`near`,
+        whose extra rows a row-wise operator leaves unchanged.
         """
         if change.rows is not None:
-            idx = [change.data_cols.index(c) for c in cols]
-            rows = self.restrict(cols, (tuple(r[i] for i in idx) for r in change.rows))
+            rows = self.restrict(cols, _keys(change, cols))
             if rows is not None:
                 return self.local_like(rows)
+        return self.near(cols, change)
+
+    def near(self, cols: Sequence[str], change: "ZSet") -> "ZSet":
+        """This Z-set at the rows whose ``cols`` match a row of ``change``,
+        or at a superset of them, as a lazy Spark plan (a null matching a
+        null): the input of an operator such as a group's aggregate that
+        reads state there and leaves every other row's output as it is.
+
+        A local ``change`` with fewer than :data:`LOCAL_ROWS` keys is one
+        ``IN`` filter per column, a superset of the rows when ``cols`` has
+        several columns; otherwise this is a broadcast null-safe semijoin.
+        """
+        if change.rows is not None:
+            wanted = _keys(change, cols)
+            if not wanted:
+                return self.zero_like()
+            if len(wanted) < LOCAL_ROWS:
+                return ZSet(self.df.where(_matching(cols, wanted)))
         keys = [f"__k{j}" for j in range(len(cols))]
         probe = F.broadcast(change.df.select(*(F.col(c).alias(k) for c, k in zip(cols, keys))))
         same = reduce(operator.and_, (F.col(c).eqNullSafe(F.col(k)) for c, k in zip(cols, keys)))

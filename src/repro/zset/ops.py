@@ -12,7 +12,7 @@ Catalyst. Linearity notes (they drive incrementalization in §3):
 
 Set operators per Table 1 (inputs are sets, outputs are sets):
 ``union_z(a,b) = distinct(a+b)``, ``difference_z(a,b) = distinct(a-b)``,
-``intersect_z`` = equijoin on all columns, ``antijoin_z`` per §7.5.
+``intersect_z`` = null-safe equijoin on all columns, ``antijoin_z`` per §7.5.
 
 On a local (driver-side) Z-set, σ and π return local Z-sets, and ``⋈`` and
 ``×`` of two local Z-sets run as :mod:`repro.zset.ref` code. An equijoin of
@@ -173,16 +173,31 @@ def difference_z(a: ZSet, b: ZSet) -> ZSet:
 
 
 def intersect_z(a: ZSet, b: ZSet) -> ZSet:
-    """Set INTERSECT: equijoin on all (shared) columns, left columns kept.
+    """Set INTERSECT: the rows of ``a`` that are rows of ``b``, left
+    columns kept, a null matching a null on every column as in SQL's
+    ``INTERSECT``.
 
     For set inputs the product weights are 1 and the result is a set; for
     general Z-sets this is the bilinear intersection of [Green et al.].
+    A local side reads the other side at its rows (:meth:`ZSet.restrict`,
+    null-safe) and intersects on the driver.
     """
     cols = a.data_cols
     if set(cols) != set(b.data_cols):
         raise ValueError("intersect requires identical schemas")
-    j = join_z(a, b, on=cols)
-    return map_z(j, {c: c for c in cols})
+    b = map_z(b, {c: c for c in cols})  # b's columns in a's order
+    ra, rb = a.rows, b.rows
+    if ra is not None or rb is not None:
+        if ra is None:
+            ra = a.restrict(cols, rb)
+        elif rb is None:
+            rb = b.restrict(cols, ra)
+        if ra is not None and rb is not None:
+            return a.local_like(ref.rintersect(ra, rb))
+    rdf = _spark_side(b).select(*(F.col(c).alias(f"__r{j}") for j, c in enumerate(cols)), F.col(W).alias("__wr"))
+    same = [F.col(c).eqNullSafe(F.col(f"__r{j}")) for j, c in enumerate(cols)]
+    joined = _spark_side(a).withColumnRenamed(W, "__wl").join(rdf, on=same, how="inner")
+    return ZSet(joined.select(*cols, (F.col("__wl") * F.col("__wr")).cast("long").alias(W)))
 
 
 def antijoin_z(a: ZSet, b: ZSet, on: Sequence[tuple[str, str]] | Sequence[str]) -> ZSet:

@@ -56,6 +56,13 @@ _groups = itertools.count()
 def count_jobs(spark, fn):
     """``(fn(), number of Spark jobs it launched)``, via a job group of
     its own (a fresh name per call: ``id(fn)`` of a freed lambda recurs)."""
+    out, jobs, _ = count_jobs_and_stages(spark, fn)
+    return out, jobs
+
+
+def count_jobs_and_stages(spark, fn):
+    """``(fn(), jobs it launched, stages that ran tasks in them)``; a
+    stage skipped because its shuffle output existed ran none."""
     sc = spark.sparkContext
     group = f"count-jobs-{next(_groups)}"
     sc.setJobGroup(group, group)
@@ -64,7 +71,10 @@ def count_jobs(spark, fn):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    stages = [tracker.getStageInfo(s) for j in jobs for s in tracker.getJobInfo(j).stageIds]
+    return out, len(jobs), sum(1 for st in stages if st is not None and st.numCompletedTasks > 0)
 
 
 def spark_to_ref(z: ZSet) -> dict:

@@ -9,15 +9,22 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from pyspark.sql import functions as F
+
+from repro import synth_data
 from repro.core.backend import SparkZSetOps
 from repro.core.circuit import IncrementalDistinct
+from repro.core.operators import IncrementalGroupAggregate
+from repro.core.recursion import IncBody, semi_naive_fixpoint
+from repro.core.tc import edges_zset, tc_base_fn, tc_join_fn
+from repro.core.window import TimeRangeWindow
 from repro.sql import translate as t
 from repro.sql.compile import IncrementalView, evaluate
-from repro.zset import frame
+from repro.zset import aggregates, frame, ref
 from repro.zset import ops as zops
 from repro.zset.frame import W, ZSet
 
-from helpers import count_jobs
+from helpers import count_jobs, count_jobs_and_stages
 
 N_ORDERS, N_LINES = 3_000, 12_000  # the lineitem load is above LOCAL_ROWS
 
@@ -149,3 +156,99 @@ def test_distinct_matches_null_rows(spark, monkeypatch, local_rows):
     node = IncrementalDistinct(SparkZSetOps())
     assert node.step(ZSet.from_rows(spark, [(None, 1, 1)], "a int, b int")).collect_dict() == {(None, 1): 1}
     assert node.step(ZSet.from_rows(spark, [(None, 1, -1)], "a int, b int")).collect_dict() == {(None, 1): -1}
+
+
+def test_window_and_aggregate_step_launches_at_most_2_jobs(spark, tmp_path):
+    """A 2,000-row file batch into a 40,000-row ``[RANGE]`` window and a
+    grouped SUM/COUNT: the window reads its change with one job over the
+    batch and its state, the aggregate reads the old and new rows of the
+    touched groups with one more, and the output is on the driver."""
+    g = np.random.default_rng(15)
+
+    def events(ts_values):
+        # integer-valued v, as in perfbench's window_agg: a SUM of
+        # arbitrary doubles depends on the order its rows are added, so a
+        # group's old row, recomputed, may not cancel the row emitted for it
+        n = len(ts_values)
+        return pd.DataFrame({"k": g.integers(0, 5_000, n).astype(np.int32),
+                             "ts": np.asarray(ts_values, dtype=np.int32),
+                             "v": g.integers(0, 1_000, n).astype(np.float64)})
+
+    width, per_ts = 19, 2_000
+    load = events(np.repeat(np.arange(width + 1), per_ts))
+    batch = events(np.full(per_ts, width + 1))
+    path = str(tmp_path / "batch.parquet")
+    batch.to_parquet(path)
+    win = TimeRangeWindow("ts", width=width)
+    agg = IncrementalGroupAggregate(["k"], [("s", "sum", "v"), ("n", "count", None)])
+    groups = agg.step(win.step(ZSet.from_df(spark.createDataFrame(load)), float(width))).collect_dict()
+
+    def step():
+        delta = ZSet.from_df(spark.read.schema("k int, ts int, v double").parquet(path))
+        return agg.step(win.step(delta, float(width + 1))).collect_dict()
+
+    out, jobs = count_jobs(spark, step)
+    assert jobs <= 2
+    live = pd.concat([load[load.ts >= 1], batch], ignore_index=True)
+    want = aggregates.group_agg(ZSet.from_df(spark.createDataFrame(live)), ["k"], agg.aggs)
+    assert ref.radd(groups, out) == want.collect_dict()
+
+
+def test_restrict_probe_runs_one_stage(spark):
+    """A probe of a partitioned Spark state reads its rows with one job of
+    one stage: the collect's ``limit`` gets a single partition and
+    shuffles nothing."""
+    state = ZSet(spark.range(40_000, numPartitions=8).select(
+        (F.col("id") % 5_000).cast("int").alias("k"), F.col("id").alias("id"), F.lit(1).cast("long").alias(W),
+    ).localCheckpoint(eager=True))
+    got, jobs, stages = count_jobs_and_stages(spark, lambda: state.restrict(["k"], [(7,), (11,)]))
+    assert (jobs, stages) == (1, 1)
+    assert got == {(k, i): 1 for i in range(40_000) for k in [i % 5_000] if k in (7, 11)}
+
+
+@pytest.mark.parametrize("local_rows", [frame.LOCAL_ROWS, 0], ids=["driver", "spark"])
+@pytest.mark.parametrize("right_side", ["local", "spark"])
+def test_intersect_matches_null_rows(spark, monkeypatch, local_rows, right_side):
+    """``INTERSECT`` matches a null to a null on every column, as DuckDB
+    does: ``{(NULL), (1)} ∩ {(NULL), (2)} = {(NULL)}``, on the driver, with
+    one side probed in Spark, and with both sides in Spark."""
+    monkeypatch.setattr(frame, "LOCAL_ROWS", local_rows)
+    a = ZSet.from_rows(spark, [(None, 1), (1, 1)], "x int").materialize()
+    b = ZSet.from_rows(spark, [(None, 1), (2, 1)], "x int")
+    b = b.materialize() if right_side == "local" else ZSet(b.df.localCheckpoint(eager=True))
+    assert zops.intersect_z(a, b).collect_dict() == {(None,): 1}
+
+
+def test_driver_join_output_stays_below_local_rows(spark, monkeypatch):
+    """No Z-set on the driver holds ``LOCAL_ROWS`` rows or more: at a 50-row
+    threshold, the semi-naïve closure of a 45-edge graph, whose join
+    outputs grow past 50 rows, keeps every local value below it and still
+    equals a breadth-first search."""
+    monkeypatch.setattr(frame, "LOCAL_ROWS", 50)
+    sizes = []
+    local = ZSet.local.__func__
+
+    def recording(cls, spark, schema, rows):
+        z = local(cls, spark, schema, rows)
+        if z.rows is not None:
+            sizes.append(len(z.rows))
+        return z
+
+    monkeypatch.setattr(ZSet, "local", classmethod(recording))
+    edges = synth_data.random_digraph_edges(n_nodes=25, n_edges=45, seed=3)
+    body = IncBody(SparkZSetOps(), base_fn=tc_base_fn, join_fn=tc_join_fn)
+    closure, _ = semi_naive_fixpoint(SparkZSetOps(), body, edges_zset(spark, edges))
+    assert sizes and max(sizes) < 50
+    succ: dict = {}
+    for h, t in edges:
+        succ.setdefault(h, set()).add(t)
+    want = set()
+    for s in {h for h, _ in edges}:
+        seen, todo = set(), [s]
+        while todo:
+            for t in succ.get(todo.pop(), ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        want |= {(s, t) for t in seen}
+    assert closure.collect_dict() == {r: 1 for r in want}

@@ -144,6 +144,46 @@ def test_group_aggregate_null_key(spark):
     assert acc == {(None, 3.0, 1): 1, (1, 2.0, 1): 1}
 
 
+#: ``(k, v, weight)`` changes: a null key, a group that vanishes, an empty
+#: change, and group 4, whose count is 0 while it is still present
+AGG_STEPS = [
+    [(None, 1.0, 1), (1, 2.0, 1), (2, 5.0, 1), (3, 4.0, 1)],
+    [(1, 3.0, 1), (2, 5.0, -1)],
+    [],
+    [(None, 7.0, 1), (3, 4.0, -1), (3, 6.0, 1), (1, 2.0, -1)],
+    [(4, 1.0, 1), (4, 2.0, -1)],
+    [(4, 2.0, 1), (None, 1.0, -1), (5, 0.5, 1)],
+]
+
+
+@pytest.mark.parametrize("path", ["default", "spark_path"])
+@pytest.mark.parametrize(
+    "aggs, steps",
+    [
+        ([("n", "count", None), ("s", "sum", "v"), ("lo", "min", "v"), ("hi", "max", "v")], AGG_STEPS),
+        # AVG of a group whose count is 0 divides by zero, so it stops
+        # before group 4 appears
+        ([("n", "count", None), ("m", "avg", "v")], AGG_STEPS[:4]),
+    ],
+    ids=["count_sum_min_max", "avg"],
+)
+def test_group_aggregate_equals_recomputation(spark, request, path, aggs, steps):
+    """After every step the integrated output equals ``group_agg`` over the
+    integrated input, whether the step's plan is read to the driver or
+    stays in Spark."""
+    if path == "spark_path":
+        request.getfixturevalue("spark_path")
+    keys, schema = ["k"], "k int, v double"
+    inc = IncrementalGroupAggregate(keys, aggs)
+    acc, live = {}, {}
+    for d in steps:
+        acc = ref.radd(acc, inc.step(ZSet.from_rows(spark, d, schema)).collect_dict())
+        live = ref.radd(live, {r[:-1]: r[-1] for r in d})
+        whole = ZSet.from_rows(spark, [r + (w,) for r, w in live.items()], schema)
+        assert acc == aggregates.group_agg(whole, keys, aggs).collect_dict()
+    assert {r[0] for r in acc} == {r[0] for r in live}
+
+
 def test_count_sum_linear_means_free_incremental(spark):
     """§7.2: for linear aggregates the change of the output needs only the
     change of the input — computed directly on deltas."""

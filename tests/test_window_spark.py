@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import stream as st
-from repro.core.backend import RefZSetOps, SparkZSetOps
+from repro.core.backend import COMPACT_AFTER, RefZSetOps, SparkZSetOps
 from repro.core.window import RelationToStreamJoin, SlidingSumWindow, TimeRangeWindow
 from repro.zset import ops as zops
 from repro.zset import ref
@@ -81,6 +81,63 @@ def test_time_range_window_deltas_integrate(spark):
         out = w.step(delta, float(t))
         acc = out if acc is None else acc.add(out).materialize()
     assert acc.consolidate().equals(w.contents())
+
+
+def window_stream(steps: int = 32, width: float = 5.0):
+    """``(theta, batch)`` pairs of ``(k, ts, weight)`` rows, longer than
+    ``COMPACT_AFTER``: θ mostly advances by 1, stands still at some steps
+    and jumps several widths at one; every batch has new live rows, a
+    late row with ``ts < lo`` and, once there are some, a delete of a live
+    row."""
+    rnd = make_rng(15)
+    received: dict = {}
+    theta, k, out = width, 0, []
+    for t in range(steps):
+        theta += 0.0 if t % 7 == 3 else (4 * width if t == 17 else 1.0)
+        lo = theta - width
+        batch = []
+        for _ in range(3):
+            batch.append((k, float(rnd.randint(int(lo), int(theta))), 1))
+            k += 1
+        batch.append((k, lo - 1.0 - rnd.randint(0, 3), 1))  # late: never enters
+        k += 1
+        live = [r for r, w in received.items() if r[1] >= lo and w > 0]
+        if live:
+            batch.append(rnd.choice(live) + (-1,))
+        for *r, w in batch:
+            received = ref.radd(received, {tuple(r): w})
+        out.append((theta, batch))
+    return out
+
+
+@pytest.mark.parametrize("path", ["default", "spark_path"])
+def test_time_range_window_long_stream(spark, request, path):
+    """Over more steps than ``COMPACT_AFTER``, with deletes of live rows,
+    late rows, a θ that stands still and one that jumps several widths:
+    after every step the contents and the integrated output equal the
+    filter ``ts ≥ θ − width`` over all rows received, and the state's
+    physical rows stay within the window plus ``COMPACT_AFTER`` changes."""
+    if path == "spark_path":
+        request.getfixturevalue("spark_path")
+    width = 5.0
+    w = TimeRangeWindow("ts", width=width)
+    received: dict = {}
+    integrated: dict = {}
+    sizes: list[int] = []  # rows in the window after each step
+    changes: list[int] = []  # rows in each step's output change
+    for theta, batch in window_stream(width=width):
+        out = w.step(ZSet.from_rows(spark, batch, "k int, ts double"), theta)
+        received = ref.radd(received, {tuple(r): wt for *r, wt in batch})
+        want = {r: wt for r, wt in received.items() if r[1] >= theta - width}
+        got = out.collect_dict()
+        integrated = ref.radd(integrated, got)
+        assert integrated == want
+        assert w.contents().collect_dict() == want
+        sizes.append(len(want))
+        changes.append(len(got))
+        # the last compaction left a window of some recent step's size
+        bound = max(sizes[-COMPACT_AFTER:]) + sum(changes[-COMPACT_AFTER:])
+        assert w.contents().df.count() <= bound
 
 
 def test_watermark_must_be_monotone(spark):
