@@ -17,13 +17,10 @@ can start with ``None`` state and never need a schema up front.
 """
 from __future__ import annotations
 
-from functools import reduce
-
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.zset import ref
-from repro.zset.frame import W, ZSet
+from repro.zset.frame import ZSet
 
 
 class GroupOps:
@@ -82,8 +79,9 @@ class GroupOps:
     def restrict(self, values: list, changes: list) -> list:
         """Each of ``values`` restricted to the rows in the support of one
         of ``changes`` (the only rows a row-wise operator such as ``H`` can
-        change there), or to a superset of them, up to the values as they
-        are; the same rows for every value."""
+        change there), or each value as it is; the same choice for every
+        value. The Spark form is :meth:`ZSet.at_each`: one read of all
+        values when every change is on the driver."""
         raise NotImplementedError  # pragma: no cover - interface
 
     def support_count(self, a) -> int:
@@ -183,27 +181,9 @@ class SparkZSetOps(GroupOps):
         return old.add(d).distinct().sub(old.distinct())
 
     def restrict(self, values: list[ZSet], changes: list[ZSet]) -> list[ZSet]:
-        """One probe for all ``values``: when every change is local, the
-        tagged union of the values is read at the changes' rows with one
-        :meth:`ZSet.restrict`, and local Z-sets come back. Otherwise, or
-        when that probe would read too many keys or rows, the values
-        are returned as they are: so many rows are a bulk change, for which
-        a restriction in Spark would only add a pass over each value."""
-        if not all(c.rows is not None for c in changes):
-            return values
-        rows = set().union(*(c.rows for c in changes))
-        like = changes[0]
-        cols = like.data_cols
-        found = [{r: w for r, w in (v.rows or {}).items() if r in rows} for v in values]
-        tagged = [v.df.select(*cols, F.lit(n).alias("__tag"), W)
-                  for n, v in enumerate(values) if v.rows is None and not v.known_empty]
-        if tagged:
-            got = ZSet(reduce(DataFrame.unionByName, tagged)).restrict(cols, rows)
-            if got is None:
-                return values
-            for r, w in got.items():
-                found[r[-1]][r[:-1]] = w
-        return [like.local_like(f) for f in found]
+        """One read for all ``values`` at the changes' rows
+        (:meth:`ZSet.at_each`), or the values as they are."""
+        return ZSet.at_each(values, changes[0].data_cols, changes)
 
     def support_count(self, a: ZSet) -> int:
         return a.support_count()

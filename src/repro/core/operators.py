@@ -85,7 +85,7 @@ class IncrementalGroupAggregate(Node):
         """``new − old`` over the groups ``d`` touches, from one plan."""
         local = d.rows is not None
         old_and_new = F.explode(F.array(F.lit(OLD), F.lit(NEW)))
-        tagged = self._i.near(self.keys, d).df.withColumn(TAG, old_and_new)
+        tagged = self._i.near(self.keys, [d]).df.withColumn(TAG, old_and_new)
         tagged = tagged.unionByName(d.df.withColumn(TAG, F.lit(NEW)))
         if local:
             tagged = tagged.coalesce(1)
@@ -94,5 +94,4 @@ class IncrementalGroupAggregate(Node):
         plan = agg.withColumn(W, sign).drop(TAG)
         if local and d.known_empty:
             return d.local_like({}, plan.schema)
-        out = ZSet.read(plan) if local else None
-        return ZSet(plan).consolidate() if out is None else out
+        return (ZSet.read(plan) if local else ZSet(plan)).consolidate()

@@ -94,9 +94,7 @@ class TimeRangeWindow(Node):
             prev_lo = self._theta - self.width
             evicted = self._window.df.where((ts >= F.lit(prev_lo)) & (ts < F.lit(lo)))
             plan = live.unionByName(evicted.withColumn(W, -F.col(W)))
-            out = ZSet.read(plan)
-            if out is None:
-                out = ZSet(plan).materialize()
+            out = ZSet.read(plan).materialize()
         self._theta = theta
         self._window = self.ops.accumulate(self._window, out)
         return out

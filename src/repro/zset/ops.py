@@ -15,11 +15,11 @@ Set operators per Table 1 (inputs are sets, outputs are sets):
 ``intersect_z`` = null-safe equijoin on all columns, ``antijoin_z`` per §7.5.
 
 On a local (driver-side) Z-set, σ and π return local Z-sets, and ``⋈`` and
-``×`` of two local Z-sets run as :mod:`repro.zset.ref` code. An equijoin of
-a local Z-set with a Spark one reads the Spark side's matching rows with one
-probe (:meth:`ZSet.restrict`) and joins on the driver; when that probe
-would read too many rows, and for ``×``, the local side is broadcast into
-a Spark join instead.
+``×`` of two local Z-sets run as :mod:`repro.zset.ref` code. An equijoin or
+``INTERSECT`` of a local Z-set with a Spark one reads the Spark side at the
+local side's rows (:meth:`ZSet.at`) and, when that read comes back local,
+runs on the driver; otherwise, and for ``×``, the local side is broadcast
+into a Spark join.
 """
 from __future__ import annotations
 
@@ -72,30 +72,11 @@ def _joined_schema(a: ZSet, b: ZSet) -> StructType:
     return StructType(left + right + [a.schema[W]])
 
 
-def _driver_join(a: ZSet, b: ZSet, pairs: list[tuple[str, str]]) -> ZSet | None:
-    """``a ⋈ b`` on the driver, for a local ``a`` or ``b``; None if the
-    other side's probe would read too many rows."""
-    ia = [a.data_cols.index(lc) for lc, _ in pairs]
-    ib = [b.data_cols.index(rc) for _, rc in pairs]
-
-    def key_a(r):
-        return tuple(r[i] for i in ia)
-
-    def key_b(r):
-        return tuple(r[i] for i in ib)
-
-    # null keys never match: drop them before the other side is probed
-    ra = None if a.rows is None else {r: w for r, w in a.rows.items() if None not in key_a(r)}
-    rb = None if b.rows is None else {r: w for r, w in b.rows.items() if None not in key_b(r)}
-    if ra is None:
-        ra = a.restrict([lc for lc, _ in pairs], map(key_b, rb))
-    elif rb is None:
-        rb = b.restrict([rc for _, rc in pairs], map(key_a, ra))
-    if ra is None or rb is None:
-        return None
-    local = a if a.rows is not None else b
-    rows = ref.rjoin(ra, rb, key_a, key_b, lambda x, y: x + y)
-    return local.local_like(rows, _joined_schema(a, b))
+def _non_null(z: ZSet, cols: Sequence[str]) -> ZSet:
+    """A local ``z`` without its rows that have a null in ``cols``: SQL
+    equality never matches them."""
+    idx = [z.data_cols.index(c) for c in cols]
+    return z.local_like({r: w for r, w in z.rows.items() if all(r[i] is not None for i in idx)})
 
 
 def _spark_side(z: ZSet):
@@ -116,10 +97,21 @@ def join_z(
     (including right join keys when both sides use the same name).
     """
     pairs = [(c, c) if isinstance(c, str) else tuple(c) for c in on]
-    if z_left.rows is not None or z_right.rows is not None:
-        out = _driver_join(z_left, z_right, pairs)
-        if out is not None:
-            return out
+    lcols, rcols = [lc for lc, _ in pairs], [rc for _, rc in pairs]
+    # a local side drops its null keys, so no row of the other side can match one
+    if z_left.rows is not None:
+        z_left = _non_null(z_left, lcols)
+        if z_right.rows is None:
+            z_right = z_right.at(rcols, z_left, on=lcols)
+    elif z_right.rows is not None:
+        z_right = _non_null(z_right, rcols)
+        z_left = z_left.at(lcols, z_right, on=rcols)
+    if z_left.rows is not None and z_right.rows is not None:
+        ia = [z_left.data_cols.index(c) for c in lcols]
+        ib = [z_right.data_cols.index(c) for c in rcols]
+        rows = ref.rjoin(z_left.rows, z_right.rows, lambda r: tuple(r[i] for i in ia),
+                         lambda r: tuple(r[i] for i in ib), lambda x, y: x + y)
+        return z_left.local_like(rows, _joined_schema(z_left, z_right))
 
     ldf = _spark_side(z_left).withColumnRenamed(W, "__wl")
     rdf = _spark_side(z_right).withColumnRenamed(W, "__wr")
@@ -179,21 +171,20 @@ def intersect_z(a: ZSet, b: ZSet) -> ZSet:
 
     For set inputs the product weights are 1 and the result is a set; for
     general Z-sets this is the bilinear intersection of [Green et al.].
-    A local side reads the other side at its rows (:meth:`ZSet.restrict`,
-    null-safe) and intersects on the driver.
+    A local side reads the other side at its rows (:meth:`ZSet.at`,
+    null-safe) and, when that read comes back local, intersects on the
+    driver.
     """
     cols = a.data_cols
     if set(cols) != set(b.data_cols):
         raise ValueError("intersect requires identical schemas")
     b = map_z(b, {c: c for c in cols})  # b's columns in a's order
-    ra, rb = a.rows, b.rows
-    if ra is not None or rb is not None:
-        if ra is None:
-            ra = a.restrict(cols, rb)
-        elif rb is None:
-            rb = b.restrict(cols, ra)
-        if ra is not None and rb is not None:
-            return a.local_like(ref.rintersect(ra, rb))
+    if a.rows is not None and b.rows is None:
+        b = b.at(cols, a)
+    elif b.rows is not None and a.rows is None:
+        a = a.at(cols, b)
+    if a.rows is not None and b.rows is not None:
+        return a.local_like(ref.rintersect(a.rows, b.rows))
     rdf = _spark_side(b).select(*(F.col(c).alias(f"__r{j}") for j, c in enumerate(cols)), F.col(W).alias("__wr"))
     same = [F.col(c).eqNullSafe(F.col(f"__r{j}")) for j, c in enumerate(cols)]
     joined = _spark_side(a).withColumnRenamed(W, "__wl").join(rdf, on=same, how="inner")

@@ -12,7 +12,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data
-from repro.core.backend import SparkZSetOps
+from repro.core.backend import RefZSetOps, SparkZSetOps
 from repro.core.circuit import IncrementalDistinct
 from repro.core.operators import IncrementalGroupAggregate
 from repro.core.recursion import IncBody, semi_naive_fixpoint
@@ -113,7 +113,7 @@ def test_integrals_stay_in_spark(stepped):
 
 
 def test_restrict_reads_matching_rows_of_every_key_type(spark):
-    """The probe's ``IN`` filter is one SQL string: quotes, backslashes,
+    """``ZSet.at``'s ``IN`` filter is one SQL string: quotes, backslashes,
     doubles, decimals, dates, booleans and nulls must all match exactly as
     Z-set rows do (a null key matches a null); a join still matches no
     null key."""
@@ -129,10 +129,19 @@ def test_restrict_reads_matching_rows_of_every_key_type(spark):
     state = ZSet.from_rows(spark, [r + (2,) for r in data] + [data[0] + (1,)], schema)
     state = ZSet(state.df.localCheckpoint(eager=True))  # a Spark value, not a LocalRelation
     cols = ["s", "x", "dec", "dt", "b", "n"]
-    assert state.restrict(cols, [data[0], data[2]]) == {data[0]: 3, data[2]: 2}
-    assert state.restrict(["s"], [(data[1][0],)]) == {data[1]: 2}
-    assert state.restrict(["n"], [(None,)]) == {data[1]: 2}
-    assert state.restrict(["s", "n"], [(data[1][0], None), ("plain", None)]) == {data[1]: 2}
+
+    def at(cols, keys, schema, on=None):
+        change = ZSet.from_rows(spark, [k + (1,) for k in keys], schema).materialize()
+        assert change.rows is not None
+        got = state.at(cols, change, on=on)
+        assert got.rows is not None
+        return got.rows
+
+    assert at(cols, [data[0], data[2]], schema) == {data[0]: 3, data[2]: 2}
+    assert at(["s"], [(data[1][0],)], "s string") == {data[1]: 2}
+    assert at(["n"], [(None,)], "n int") == {data[1]: 2}
+    assert at(["s", "n"], [(data[1][0], None), ("plain", None)], "s string, n int") == {data[1]: 2}
+    assert at(["s", "n"], [(data[1][0], None)], "t string, m int", on=["t", "m"]) == {data[1]: 2}
 
     change = ZSet.from_rows(spark, [("it's", 7, 1), ("plain", 8, -1)], "s string, k int").materialize()
     assert change.rows is not None
@@ -195,28 +204,76 @@ def test_window_and_aggregate_step_launches_at_most_2_jobs(spark, tmp_path):
 
 
 def test_restrict_probe_runs_one_stage(spark):
-    """A probe of a partitioned Spark state reads its rows with one job of
-    one stage: the collect's ``limit`` gets a single partition and
-    shuffles nothing."""
+    """``ZSet.at`` of a partitioned Spark state at a 2-row local change
+    reads its rows with one job of one stage: the collect's ``limit`` gets
+    a single partition and shuffles nothing."""
     state = ZSet(spark.range(40_000, numPartitions=8).select(
         (F.col("id") % 5_000).cast("int").alias("k"), F.col("id").alias("id"), F.lit(1).cast("long").alias(W),
     ).localCheckpoint(eager=True))
-    got, jobs, stages = count_jobs_and_stages(spark, lambda: state.restrict(["k"], [(7,), (11,)]))
+    change = ZSet.from_rows(spark, [(7, 1), (11, -1)], "k int").materialize()
+    assert change.rows is not None
+    got, jobs, stages = count_jobs_and_stages(spark, lambda: state.at(["k"], change))
     assert (jobs, stages) == (1, 1)
-    assert got == {(k, i): 1 for i in range(40_000) for k in [i % 5_000] if k in (7, 11)}
+    assert got.rows == {(k, i): 1 for i in range(40_000) for k in [i % 5_000] if k in (7, 11)}
 
 
-@pytest.mark.parametrize("local_rows", [frame.LOCAL_ROWS, 0], ids=["driver", "spark"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", ["read", "overflow", "spark_change"])
+def test_at_each_matches_reference(spark, monkeypatch, seed, mode):
+    """``ZSet.at_each`` of local, checkpointed and known-empty values at
+    random local changes with null keys equals the reference backend's
+    ``restrict``, read with one job; when the read overflows or a change is
+    in Spark, every value comes back as it is."""
+    rnd = np.random.default_rng(seed)
+    schema = "a int, b int"
+
+    def rows(n):
+        out: dict = {}
+        for _ in range(n):
+            r = tuple(None if x == 3 else int(x) for x in rnd.integers(0, 4, 2))
+            out[r] = out.get(r, 0) + int(rnd.choice([-1, 1, 2]))
+        return {r: w for r, w in out.items() if w}
+
+    def checkpointed():
+        # unconsolidated: the (NULL, NULL) row is ten rows of weight 1, so
+        # a read of three such values at that row reads 30 rows
+        raw = [r + (w,) for r, w in rows(8).items()] + [(None, None, 1)] * 10
+        return ZSet(ZSet.from_rows(spark, raw, schema).df.localCheckpoint(eager=True))
+
+    local = [ZSet.from_rows(spark, [r + (w,) for r, w in rows(6).items()], schema).materialize() for _ in range(2)]
+    values = [local[0], checkpointed(), ZSet.empty(spark, schema), checkpointed(), local[1], checkpointed()]
+    changes = [ZSet.local(spark, local[0].schema, {**rows(2), (None, None): 1}) for _ in range(2)]
+    assert all(z.rows is not None for z in local + changes)
+    if mode == "spark_change":
+        changes[1] = ZSet(changes[1].df.localCheckpoint(eager=True))
+    if mode == "overflow":
+        monkeypatch.setattr(frame, "LOCAL_ROWS", 8)  # above the changes' at most 6 keys
+    got, jobs = count_jobs(spark, lambda: ZSet.at_each(values, ["a", "b"], changes))
+    if mode == "read":
+        assert jobs == 1  # one read for the three checkpointed values
+        assert all(z.rows is not None for z in got)
+        want = RefZSetOps().restrict([v.collect_dict() for v in values], [c.collect_dict() for c in changes])
+        assert [z.rows for z in got] == want
+    else:
+        assert all(g is v for g, v in zip(got, values))
+
+
+@pytest.mark.parametrize("local_rows", [frame.LOCAL_ROWS, 3, 0], ids=["driver", "overflow", "spark"])
 @pytest.mark.parametrize("right_side", ["local", "spark"])
 def test_intersect_matches_null_rows(spark, monkeypatch, local_rows, right_side):
     """``INTERSECT`` matches a null to a null on every column, as DuckDB
     does: ``{(NULL), (1)} ∩ {(NULL), (2)} = {(NULL)}``, on the driver, with
-    one side probed in Spark, and with both sides in Spark."""
+    one side probed in Spark, with a probe that reads ``LOCAL_ROWS`` rows
+    (``b``'s null row is three unconsolidated rows) and falls back to a
+    Spark join, and with both sides in Spark."""
     monkeypatch.setattr(frame, "LOCAL_ROWS", local_rows)
     a = ZSet.from_rows(spark, [(None, 1), (1, 1)], "x int").materialize()
-    b = ZSet.from_rows(spark, [(None, 1), (2, 1)], "x int")
+    b = ZSet.from_rows(spark, [(None, 1), (None, 1), (None, -1), (2, 1)], "x int")
     b = b.materialize() if right_side == "local" else ZSet(b.df.localCheckpoint(eager=True))
+    if local_rows == 3 and right_side == "spark":
+        assert a.rows is not None and b.at(["x"], a).rows is None
     assert zops.intersect_z(a, b).collect_dict() == {(None,): 1}
+    assert zops.intersect_z(b, a).collect_dict() == {(None,): 1}
 
 
 def test_driver_join_output_stays_below_local_rows(spark, monkeypatch):
