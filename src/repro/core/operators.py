@@ -85,7 +85,7 @@ class IncrementalGroupAggregate(Node):
         """``new − old`` over the groups ``d`` touches, from one plan."""
         local = d.rows is not None
         old_and_new = F.explode(F.array(F.lit(OLD), F.lit(NEW)))
-        tagged = self._i.near(self.keys, [d]).df.withColumn(TAG, old_and_new)
+        tagged = self._i.near(self.keys, d).df.withColumn(TAG, old_and_new)
         tagged = tagged.unionByName(d.df.withColumn(TAG, F.lit(NEW)))
         if local:
             tagged = tagged.coalesce(1)

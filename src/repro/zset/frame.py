@@ -349,18 +349,13 @@ class ZSet:
         found = [v.rows or {} for v in values]
         spark = [n for n, v in enumerate(values) if wanted and v.rows is None and not v.known_empty]
         if spark:
-            # a tag column tells several values apart; a single value is read
-            # without one, which saves about 15 ms on a read at 1,250 keys
-            tagged = len(spark) > 1
             plan = reduce(DataFrame.unionByName, (
-                values[n].df.select(*schema.fieldNames()[:-1], F.lit(n).alias("__tag"), W) if tagged else values[n].df
-                for n in spark))
+                values[n].df.select(*schema.fieldNames()[:-1], F.lit(n).alias("__tag"), W) for n in spark))
             got = ZSet.read(plan.where(_matching(cols, wanted)))
             if got.rows is None:
                 return list(values)
             for r, w in got.rows.items():
-                n, r = (r[-1], r[:-1]) if tagged else (spark[0], r)
-                found[n][r] = w
+                found[r[-1]][r[:-1]] = w
         idx = [schema.fieldNames().index(c) for c in cols]
         return [changes[0].local_like({r: w for r, w in f.items() if tuple(r[i] for i in idx) in wanted}, schema)
                 for f in found]
@@ -371,29 +366,28 @@ class ZSet:
         the driver, this is the lazy :meth:`near`, whose extra rows such
         an operator leaves unchanged."""
         (got,) = ZSet.at_each([self], cols, [change], on)
-        return got if got.rows is not None else self.near(cols, [change], on)
+        return got if got.rows is not None else self.near(cols, change, on)
 
-    def near(self, cols: Sequence[str], changes: Sequence["ZSet"], on: Sequence[str] | None = None) -> "ZSet":
+    def near(self, cols: Sequence[str], change: "ZSet", on: Sequence[str] | None = None) -> "ZSet":
         """This Z-set at the rows whose ``cols`` match the ``on`` columns
-        (by default ``cols``) of a row of one of ``changes``, or at a
-        superset of them, as a lazy Spark plan (a null matching a null):
-        the input of an operator such as a group's aggregate that reads
-        state there and leaves every other row's output as it is.
+        (by default ``cols``) of a row of ``change``, or at a superset of
+        them, as a lazy Spark plan (a null matching a null): the input of
+        an operator such as a group's aggregate that reads state there and
+        leaves every other row's output as it is.
 
-        Local ``changes`` with fewer than :data:`LOCAL_ROWS` keys are one
+        A local ``change`` with fewer than :data:`LOCAL_ROWS` keys is one
         ``IN`` filter per column, a superset of the rows when ``cols`` has
         several columns; otherwise this is a broadcast null-safe semijoin.
         """
         on = on or cols
-        if all(c.rows is not None for c in changes):
-            wanted = _keys(changes, on)
+        if change.rows is not None:
+            wanted = _keys([change], on)
             if not wanted:
                 return self.zero_like()
             if len(wanted) < LOCAL_ROWS:
                 return ZSet(self.df.where(_matching(cols, wanted)))
         keys = [f"__k{j}" for j in range(len(cols))]
-        probe = F.broadcast(reduce(DataFrame.unionByName, (
-            c.df.select(*(F.col(o).alias(k) for o, k in zip(on, keys))) for c in changes)))
+        probe = F.broadcast(change.df.select(*(F.col(o).alias(k) for o, k in zip(on, keys))))
         same = reduce(operator.and_, (F.col(c).eqNullSafe(F.col(k)) for c, k in zip(cols, keys)))
         return ZSet(self.df.join(probe, on=same, how="leftsemi"))
 
